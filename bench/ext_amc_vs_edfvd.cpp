@@ -8,6 +8,7 @@
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
+#include "common/thread_pool.hpp"
 #include "core/chebyshev_wcet.hpp"
 #include "sched/amc.hpp"
 #include "sched/edf_vd.hpp"
@@ -32,14 +33,14 @@ int main(int argc, char** argv) {
   mcs::taskgen::GeneratorConfig config;
   config.attach_distributions = false;
   for (const double u : {0.7, 0.8, 0.9, 1.0, 1.1, 1.2}) {
-    mcs::common::Rng rng(seed + static_cast<std::uint64_t>(u * 100.0));
+    const std::uint64_t base = seed + static_cast<std::uint64_t>(u * 100.0);
     std::size_t amc_plain = 0;
     std::size_t amc_scheme = 0;
     std::size_t opa_scheme = 0;
     std::size_t edf_plain = 0;
     std::size_t edf_scheme = 0;
     for (std::uint64_t t = 0; t < tasksets; ++t) {
-      mcs::common::Rng set_rng = rng.split();
+      mcs::common::Rng set_rng(mcs::common::index_seed(base, t));
       const mcs::mc::TaskSet vestal =
           mcs::taskgen::generate_mixed(config, u, set_rng);
       mcs::mc::TaskSet assigned = vestal;

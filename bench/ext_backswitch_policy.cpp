@@ -9,6 +9,7 @@
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
+#include "common/thread_pool.hpp"
 #include "core/chebyshev_wcet.hpp"
 #include "core/optimizer.hpp"
 #include "sched/edf_vd.hpp"
@@ -56,14 +57,14 @@ int main(int argc, char** argv) {
 
   const mcs::taskgen::GeneratorConfig config;
   for (const double u : {0.4, 0.6, 0.8}) {
-    mcs::common::Rng rng(seed + static_cast<std::uint64_t>(u * 100.0));
+    const std::uint64_t base = seed + static_cast<std::uint64_t>(u * 100.0);
     double switches[2] = {0, 0};
     double hi_time[2] = {0, 0};
     double drops[2] = {0, 0};
     double misses[2] = {0, 0};
     std::size_t used = 0;
     for (std::uint64_t t = 0; t < tasksets; ++t) {
-      mcs::common::Rng set_rng = rng.split();
+      mcs::common::Rng set_rng(mcs::common::index_seed(base, t));
       mcs::mc::TaskSet tasks =
           mcs::taskgen::generate_hc_only(config, u, set_rng);
       mcs::core::OptimizerConfig opt;

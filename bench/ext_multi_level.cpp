@@ -9,6 +9,7 @@
 #include "common/cli.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
+#include "common/thread_pool.hpp"
 #include "core/multi_level_sched.hpp"
 
 namespace {
@@ -58,9 +59,8 @@ int main(int argc, char** argv) {
     double mean_objective = 0.0;
     std::size_t used = 0;
 
-    mcs::common::Rng rng(seed);
     for (std::uint64_t s = 0; s < systems; ++s) {
-      mcs::common::Rng sys_rng = rng.split();
+      mcs::common::Rng sys_rng(mcs::common::index_seed(seed, s));
       const mcs::core::MlSystem system =
           random_system(kLevels, tasks, rho, sys_rng);
       mcs::ga::GaConfig config;

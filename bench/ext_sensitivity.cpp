@@ -8,6 +8,7 @@
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
+#include "common/thread_pool.hpp"
 #include "core/chebyshev_wcet.hpp"
 #include "core/optimizer.hpp"
 #include "core/sensitivity.hpp"
@@ -31,11 +32,10 @@ int main(int argc, char** argv) {
   std::vector<double> realized(errors.size(), 0.0);
   std::vector<double> preserved(errors.size(), 0.0);
 
-  mcs::common::Rng rng(seed);
   const mcs::taskgen::GeneratorConfig config;
   std::size_t used = 0;
   for (std::size_t t = 0; t < tasksets; ++t) {
-    mcs::common::Rng set_rng = rng.split();
+    mcs::common::Rng set_rng(mcs::common::index_seed(seed, t));
     mcs::mc::TaskSet tasks =
         mcs::taskgen::generate_hc_only(config, utilization, set_rng);
     mcs::core::OptimizerConfig opt;

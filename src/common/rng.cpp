@@ -106,29 +106,4 @@ double Rng::exponential(double lambda) {
   return -std::log(1.0 - uniform01()) / lambda;
 }
 
-Rng Rng::split() {
-  Rng child(0);
-  child.state_ = state_;
-  child.jump();
-  // Advance the parent too so repeated splits yield distinct streams.
-  (void)(*this)();
-  return child;
-}
-
-void Rng::jump() {
-  static constexpr std::array<std::uint64_t, 4> kJump = {
-      0x180EC6D33CFD0ABAULL, 0xD5A61266F0C9392CULL, 0xA9582618E03FC9AAULL,
-      0x39ABDC4529B1661CULL};
-  std::array<std::uint64_t, 4> acc{};
-  for (const std::uint64_t word : kJump) {
-    for (int bit = 0; bit < 64; ++bit) {
-      if (word & (1ULL << bit)) {
-        for (std::size_t i = 0; i < acc.size(); ++i) acc[i] ^= state_[i];
-      }
-      (void)(*this)();
-    }
-  }
-  state_ = acc;
-}
-
 }  // namespace mcs::common

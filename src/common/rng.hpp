@@ -5,7 +5,8 @@
 // results are bit-reproducible across runs and platforms. We implement
 // xoshiro256** (Blackman & Vigna) seeded via SplitMix64, rather than relying
 // on std::mt19937, so that the stream is stable across standard-library
-// implementations.
+// implementations. A loop that needs one stream per work item seeds item i
+// with Rng(index_seed(base, i)) (common/thread_pool.hpp).
 #pragma once
 
 #include <array>
@@ -64,14 +65,6 @@ class Rng {
 
   /// Exponential deviate with the given rate lambda > 0.
   [[nodiscard]] double exponential(double lambda);
-
-  /// Derives an independent child generator; useful to give each task /
-  /// trial its own stream without correlation.
-  [[nodiscard]] Rng split();
-
-  /// Jump function: advances the state by 2^128 steps. Used to create
-  /// non-overlapping parallel streams.
-  void jump();
 
  private:
   std::array<std::uint64_t, 4> state_{};

@@ -19,10 +19,10 @@
 //    executes an index, never the per-index work or the reduction order,
 //    so results are bit-identical to the unchunked (grain 1) path.
 //  * index_seed — derives a per-item 64-bit seed from a base seed via
-//    SplitMix64 so new parallel call sites can give every item an
-//    independent stream without sequential split() chains. The same
-//    recipe powers counter-based per-sample streams (apps::measure_kernel
-//    seeds sample i from index_seed(seed, i)).
+//    SplitMix64, so every work item gets an independent stream that
+//    depends only on (base, i): each Monte Carlo replication seeds its
+//    task set from Rng(index_seed(base, i)), and apps::measure_kernel
+//    seeds sample i from index_seed(seed, i).
 //
 // Determinism contract: a work item must draw randomness only from state
 // it owns (an Rng passed by value, or one seeded from index_seed), must
@@ -108,8 +108,8 @@ class ThreadPool {
 namespace detail {
 
 /// Returns the process-wide shared pool, (re)created so it has at least
-/// `jobs` workers. Callers must drain their batch before returning (both
-/// run_chunked and pipeline_map do).
+/// `jobs` workers. Callers must drain their batch before returning (as
+/// run_chunked does).
 [[nodiscard]] ThreadPool& shared_pool(std::size_t jobs);
 
 /// Runs body(0..count-1) across the shared pool with `jobs` concurrent

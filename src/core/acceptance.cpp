@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "common/pipeline.hpp"
+#include "common/thread_pool.hpp"
 #include "core/chebyshev_wcet.hpp"
 #include "sched/edf_vd.hpp"
 #include "sched/policies.hpp"
@@ -81,20 +81,12 @@ double policy_acceptance_ratio(const sched::WcetOptPolicy& policy,
                                AdmissionBackend backend, double u_bound,
                                std::size_t num_tasksets, std::uint64_t seed,
                                const taskgen::GeneratorConfig& config) {
-  struct SetItem {
-    mc::TaskSet tasks;
-    common::Rng rng;
-  };
-  common::Rng rng(seed);
-  const std::vector<std::size_t> verdicts = common::pipeline_map(
-      num_tasksets, 0,
-      [&](std::size_t) {
-        common::Rng set_rng = rng.split();
-        mc::TaskSet tasks = taskgen::generate_mixed(config, u_bound, set_rng);
-        return SetItem{std::move(tasks), set_rng};
-      },
-      [&](std::size_t, SetItem item) -> std::size_t {
-        return policy_accepts(policy, item.tasks, item.rng, backend) ? 1 : 0;
+  const std::vector<std::size_t> verdicts =
+      common::parallel_map(num_tasksets, [&](std::size_t i) -> std::size_t {
+        common::Rng set_rng(common::index_seed(seed, i));
+        const mc::TaskSet tasks =
+            taskgen::generate_mixed(config, u_bound, set_rng);
+        return policy_accepts(policy, tasks, set_rng, backend) ? 1 : 0;
       });
   std::size_t accepted = 0;
   for (const std::size_t verdict : verdicts) accepted += verdict;
@@ -104,26 +96,16 @@ double policy_acceptance_ratio(const sched::WcetOptPolicy& policy,
 double acceptance_ratio(Approach approach, double u_bound,
                         std::size_t num_tasksets, std::uint64_t seed,
                         const taskgen::GeneratorConfig& config) {
-  // Pipelined Monte Carlo: the producer walks the legacy split() chain in
-  // order, generating each task set and handing it (plus its evolved RNG,
-  // which the policy draws continue from) to the consumers running the
-  // schedulability tests concurrently. Stream assignment and per-set
-  // draws are exactly the serial loop's, so the ratio is bit-identical at
-  // every --jobs value.
-  struct SetItem {
-    mc::TaskSet tasks;
-    common::Rng rng;
-  };
-  common::Rng rng(seed);
-  const std::vector<std::size_t> verdicts = common::pipeline_map(
-      num_tasksets, 0,
-      [&](std::size_t) {
-        common::Rng set_rng = rng.split();
-        mc::TaskSet tasks = taskgen::generate_mixed(config, u_bound, set_rng);
-        return SetItem{std::move(tasks), set_rng};
-      },
-      [&](std::size_t, SetItem item) -> std::size_t {
-        return accepts(approach, item.tasks, item.rng) ? 1 : 0;
+  // Set i is generated from its own index_seed(seed, i) stream, and the
+  // lambda draws continue on it, so every approach called with the same
+  // seed judges the same sets, and the ratio is bit-identical at every
+  // --jobs value.
+  const std::vector<std::size_t> verdicts =
+      common::parallel_map(num_tasksets, [&](std::size_t i) -> std::size_t {
+        common::Rng set_rng(common::index_seed(seed, i));
+        const mc::TaskSet tasks =
+            taskgen::generate_mixed(config, u_bound, set_rng);
+        return accepts(approach, tasks, set_rng) ? 1 : 0;
       });
   std::size_t accepted = 0;
   for (const std::size_t verdict : verdicts) accepted += verdict;

@@ -58,9 +58,9 @@ enum class Approach {
     AdmissionBackend backend = AdmissionBackend::kUtilization);
 
 /// Fraction of `num_tasksets` random task sets at bound `u_bound`
-/// accepted under `policy` + `backend`. Same pipelined Monte Carlo as
-/// acceptance_ratio: per-set split() streams keep the ratio bit-identical
-/// at every --jobs value.
+/// accepted under `policy` + `backend`. Same Monte Carlo as
+/// acceptance_ratio: per-set index_seed streams keep the ratio
+/// bit-identical at every --jobs value.
 [[nodiscard]] double policy_acceptance_ratio(
     const sched::WcetOptPolicy& policy, AdmissionBackend backend,
     double u_bound, std::size_t num_tasksets, std::uint64_t seed,

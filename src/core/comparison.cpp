@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/pipeline.hpp"
+#include "common/thread_pool.hpp"
 #include "taskgen/generator.hpp"
 
 namespace mcs::core {
@@ -57,53 +57,40 @@ std::vector<PolicyScore> compare_policies(
   for (std::size_t p = 0; p < extra_policies.size(); ++p)
     scores[baselines.size() + 1 + p].policy = extra_policies[p]->name();
 
-  // Pipelined Monte Carlo replications: the producer walks the legacy
-  // split() chain in order, generating each task set while consumers
-  // evaluate earlier ones (the GA dominates the cost). Each item carries
-  // the evolved per-set RNG so baseline draws and the GA seed continue
-  // exactly as in the serial loop; the per-policy sums below are reduced
-  // in index order — bit-identical at any --jobs value.
-  struct SetItem {
-    mc::TaskSet tasks;
-    common::Rng rng;
-  };
-  common::Rng rng(seed);
+  // Monte Carlo replications: set i is generated from its own
+  // index_seed(seed, i) stream, and the baseline draws and the GA seed
+  // continue on it; the per-policy sums below are reduced in index order,
+  // so the scores are bit-identical at any --jobs value.
   const taskgen::GeneratorConfig gen_config;
   const std::vector<std::vector<ObjectiveBreakdown>> per_set =
-      common::pipeline_map(
-          num_tasksets, 0,
-          [&](std::size_t) {
-            common::Rng set_rng = rng.split();
-            mc::TaskSet tasks =
-                taskgen::generate_hc_only(gen_config, u_hc_hi, set_rng);
-            return SetItem{std::move(tasks), set_rng};
-          },
-          [&](std::size_t set, SetItem item) {
-            common::Rng set_rng = item.rng;
-            std::vector<ObjectiveBreakdown> breakdowns;
-            breakdowns.reserve(baselines.size() + 1 + extra_policies.size());
-            for (const sched::WcetOptPolicyPtr& baseline : baselines)
-              breakdowns.push_back(
-                  apply_and_evaluate_policy(item.tasks, *baseline, set_rng));
-            OptimizerConfig opt = optimizer;
-            opt.ga.seed = set_rng();
-            // Warm start rides per replication index: the genome found on
-            // the neighbouring cell's set #k seeds this cell's set #k.
-            if (warm_start != nullptr && set < warm_start->size() &&
-                !(*warm_start)[set].empty())
-              opt.warm_start.push_back((*warm_start)[set]);
-            const OptimizationResult ga = optimize_multipliers_ga(item.tasks, opt);
-            if (winners != nullptr) (*winners)[set] = ga.n;
-            breakdowns.push_back(ga.breakdown);
-            // Extra (shoot-out) policies ride after the legacy roster:
-            // they draw nothing from set_rng (deterministic from the task
-            // profiles), so the rows above stay bit-identical to the
-            // extras-free run.
-            for (const sched::WcetOptPolicyPtr& extra : extra_policies)
-              breakdowns.push_back(
-                  apply_and_evaluate_policy(item.tasks, *extra, set_rng));
-            return breakdowns;
-          });
+      common::parallel_map(num_tasksets, [&](std::size_t set) {
+        common::Rng set_rng(common::index_seed(seed, set));
+        const mc::TaskSet tasks =
+            taskgen::generate_hc_only(gen_config, u_hc_hi, set_rng);
+        std::vector<ObjectiveBreakdown> breakdowns;
+        breakdowns.reserve(baselines.size() + 1 + extra_policies.size());
+        for (const sched::WcetOptPolicyPtr& baseline : baselines)
+          breakdowns.push_back(
+              apply_and_evaluate_policy(tasks, *baseline, set_rng));
+        OptimizerConfig opt = optimizer;
+        opt.ga.seed = set_rng();
+        // Warm start rides per replication index: the genome found on
+        // the neighbouring cell's set #k seeds this cell's set #k.
+        if (warm_start != nullptr && set < warm_start->size() &&
+            !(*warm_start)[set].empty())
+          opt.warm_start.push_back((*warm_start)[set]);
+        const OptimizationResult ga = optimize_multipliers_ga(tasks, opt);
+        if (winners != nullptr) (*winners)[set] = ga.n;
+        breakdowns.push_back(ga.breakdown);
+        // Extra (shoot-out) policies ride after the legacy roster: they
+        // draw nothing from set_rng (deterministic from the task
+        // profiles), so the rows above stay bit-identical to the
+        // extras-free run.
+        for (const sched::WcetOptPolicyPtr& extra : extra_policies)
+          breakdowns.push_back(
+              apply_and_evaluate_policy(tasks, *extra, set_rng));
+        return breakdowns;
+      });
 
   for (const std::vector<ObjectiveBreakdown>& breakdowns : per_set) {
     for (std::size_t p = 0; p < breakdowns.size(); ++p) {

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <string>
 
-#include "common/pipeline.hpp"
+#include "common/thread_pool.hpp"
 #include "core/chebyshev_wcet.hpp"
 #include "sched/edf_vd.hpp"
 #include "taskgen/generator.hpp"
@@ -39,41 +39,32 @@ std::vector<GaVsUniformPoint> run_ga_vs_uniform(
   points.reserve(u_end - u_begin);
   for (std::size_t p = u_begin; p < u_end; ++p) {
     const double u = u_values[p];
-    common::Rng rng(seed + static_cast<std::uint64_t>(u * 1000.0));
+    const std::uint64_t base = seed + static_cast<std::uint64_t>(u * 1000.0);
     GaVsUniformPoint point;
     point.u_hc_hi = u;
-    // Pipelined replications: the producer walks the split() chain in
-    // order (carrying each set's evolved stream into the item) while
-    // consumers run the GA and uniform baselines; means reduced in
-    // replication order — bit-identical at any --jobs value.
-    struct SetItem {
-      mc::TaskSet tasks;
-      common::Rng rng;
-    };
+    // Replication i draws its set, then its GA seed, from its own
+    // index_seed stream; means reduced in replication order —
+    // bit-identical at any --jobs value.
     struct Objectives {
       double uniform = 0.0;
       double ga = 0.0;
       double ga_gaussian = 0.0;
     };
-    const std::vector<Objectives> results = common::pipeline_map(
-        tasksets, 0,
-        [&](std::size_t) {
-          common::Rng set_rng = rng.split();
-          mc::TaskSet tasks = taskgen::generate_hc_only(config, u, set_rng);
-          return SetItem{std::move(tasks), set_rng};
-        },
-        [&](std::size_t, SetItem item) {
-          common::Rng set_rng = item.rng;
+    const std::vector<Objectives> results =
+        common::parallel_map(tasksets, [&](std::size_t i) {
+          common::Rng set_rng(common::index_seed(base, i));
+          const mc::TaskSet tasks =
+              taskgen::generate_hc_only(config, u, set_rng);
           const core::UniformSweepPoint uniform =
-              core::best_uniform_n(item.tasks, 0.0, optimizer.n_cap, 0.5);
+              core::best_uniform_n(tasks, 0.0, optimizer.n_cap, 0.5);
           core::OptimizerConfig opt = optimizer;
           opt.ga.seed = set_rng();
           const core::OptimizationResult ga =
-              core::optimize_multipliers_ga(item.tasks, opt);
+              core::optimize_multipliers_ga(tasks, opt);
           core::OptimizerConfig gaussian_opt = opt;
           gaussian_opt.ga.mutation = ga::MutationKind::kGaussian;
           const core::OptimizationResult ga_gaussian =
-              core::optimize_multipliers_ga(item.tasks, gaussian_opt);
+              core::optimize_multipliers_ga(tasks, gaussian_opt);
           return Objectives{uniform.breakdown.objective,
                             ga.breakdown.objective,
                             ga_gaussian.breakdown.objective};
@@ -120,17 +111,12 @@ std::vector<SimValidationPoint> run_sim_validation(
   points.reserve(u_end - u_begin);
   for (std::size_t p = u_begin; p < u_end; ++p) {
     const double u = u_values[p];
-    common::Rng rng(seed + 7 + static_cast<std::uint64_t>(u * 1000.0));
+    const std::uint64_t base =
+        seed + 7 + static_cast<std::uint64_t>(u * 1000.0);
     SimValidationPoint point;
     point.u_hc_hi = u;
-    // Pipelined replications: generation walks the split() chain in
-    // order while consumers optimize + simulate on the carried stream;
-    // infeasible/unschedulable sets contribute nothing, exactly as in
-    // the serial loop.
-    struct SetItem {
-      mc::TaskSet tasks;
-      common::Rng rng;
-    };
+    // Replication i optimizes and simulates on its own index_seed stream;
+    // infeasible/unschedulable sets contribute nothing.
     struct Replication {
       bool valid = false;
       double analytic_p_ms = 0.0;
@@ -140,17 +126,11 @@ std::vector<SimValidationPoint> run_sim_validation(
       double hc_miss_dropall = 0.0;
       double hc_miss_degrade = 0.0;
     };
-    const std::vector<Replication> replications = common::pipeline_map(
-        tasksets, 0,
-        [&](std::size_t) {
-          common::Rng set_rng = rng.split();
-          mc::TaskSet tasks = taskgen::generate_hc_only(config, u, set_rng);
-          return SetItem{std::move(tasks), set_rng};
-        },
-        [&](std::size_t, SetItem item) {
+    const std::vector<Replication> replications =
+        common::parallel_map(tasksets, [&](std::size_t i) {
           Replication r;
-          common::Rng set_rng = item.rng;
-          mc::TaskSet tasks = std::move(item.tasks);
+          common::Rng set_rng(common::index_seed(base, i));
+          mc::TaskSet tasks = taskgen::generate_hc_only(config, u, set_rng);
           core::OptimizerConfig opt = optimizer;
           opt.ga.seed = set_rng();
           const core::OptimizationResult best =

@@ -1,6 +1,6 @@
 #include "exp/fig3.hpp"
 
-#include "common/pipeline.hpp"
+#include "common/thread_pool.hpp"
 #include "core/objective.hpp"
 #include "taskgen/generator.hpp"
 
@@ -8,31 +8,25 @@ namespace mcs::exp {
 
 namespace {
 
-/// Evaluates one (n, u) grid cell: `tasksets` replications pipelined
-/// through generation -> objective evaluation. The producer walks the
-/// cell's split() chain in order (preserving the historical per-set
-/// stream assignment) while consumers evaluate; the means are reduced in
-/// replication order — bit-identical to the serial sweep at any --jobs.
+/// Evaluates one (n, u) grid cell: `tasksets` replications, set i drawn
+/// from its own index_seed stream; the means are reduced in replication
+/// order, bit-identical at any --jobs.
 Fig3Cell evaluate_cell(double n, double u, std::size_t tasksets,
                        std::uint64_t seed,
                        const taskgen::GeneratorConfig& config) {
-  // Same seed per u-column so every n sees the same task-set sample.
-  common::Rng rng(seed + static_cast<std::uint64_t>(u * 1000.0));
+  // Same base seed per u-column so every n sees the same task-set sample.
+  const std::uint64_t base = seed + static_cast<std::uint64_t>(u * 1000.0);
   Fig3Cell cell;
   cell.n = n;
   cell.u_hc_hi = u;
   const std::vector<core::ObjectiveBreakdown> breakdowns =
-      common::pipeline_map(
-          tasksets, 0,
-          [&](std::size_t) {
-            common::Rng set_rng = rng.split();
-            return taskgen::generate_hc_only(config, u, set_rng);
-          },
-          [&](std::size_t, mc::TaskSet tasks) {
-            const std::vector<double> genes(
-                tasks.count(mc::Criticality::kHigh), n);
-            return core::evaluate_multipliers(tasks, genes);
-          });
+      common::parallel_map(tasksets, [&](std::size_t i) {
+        common::Rng set_rng(common::index_seed(base, i));
+        const mc::TaskSet tasks = taskgen::generate_hc_only(config, u, set_rng);
+        const std::vector<double> genes(tasks.count(mc::Criticality::kHigh),
+                                        n);
+        return core::evaluate_multipliers(tasks, genes);
+      });
   for (const core::ObjectiveBreakdown& b : breakdowns) {
     cell.mean_p_ms += b.p_ms;
     cell.mean_max_u_lc += b.max_u_lc;

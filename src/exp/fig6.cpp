@@ -9,9 +9,10 @@ std::vector<Fig6Point> run_fig6(const std::vector<double>& u_values,
                                 const common::Executor& exec) {
   // The outer utilization axis fans out too: each point's seed depends
   // only on its u value, so the points are independent work items. The
-  // nested acceptance_ratio pipelines then run inline on the worker,
-  // which keeps small per-point taskset counts from serializing the
-  // whole figure behind one u value. Under a sharded executor only the
+  // nested acceptance_ratio maps then run inline on the worker, which
+  // keeps small per-point taskset counts from serializing the whole
+  // figure behind one u value. The four approaches share point_seed, so
+  // they judge the same task sets. Under a sharded executor only the
   // shard's slice of points is evaluated.
   return exec.map(u_values.size(), [&](std::size_t p) {
     const double u = u_values[p];

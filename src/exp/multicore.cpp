@@ -48,20 +48,15 @@ std::vector<MulticorePoint> run_multicore(
       MulticorePoint point;
       point.cores = m;
       point.u_bound_per_core = u;
-      common::Rng rng(seed + 1000 * m +
-                      static_cast<std::uint64_t>(u * 100.0));
-      // Pre-split per-replication streams, partition-test in parallel.
-      std::vector<common::Rng> set_rngs;
-      set_rngs.reserve(tasksets);
-      for (std::size_t t = 0; t < tasksets; ++t)
-        set_rngs.push_back(rng.split());
+      const std::uint64_t base =
+          seed + 1000 * m + static_cast<std::uint64_t>(u * 100.0);
       struct Verdict {
         bool lambda_ok = false;
         bool chebyshev_ok = false;
       };
       const std::vector<Verdict> verdicts =
           common::parallel_map(tasksets, [&](std::size_t t) {
-            common::Rng set_rng = set_rngs[t];
+            common::Rng set_rng(common::index_seed(base, t));
             const mc::TaskSet tasks = taskgen::generate_mixed(
                 config, u * static_cast<double>(m), set_rng);
             const mc::TaskSet with_lambda = assign(tasks, false, set_rng);

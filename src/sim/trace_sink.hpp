@@ -23,7 +23,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/pipeline.hpp"
+#include "common/bounded_queue.hpp"
 #include "sim/trace.hpp"
 
 namespace mcs::sim {

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "common/thread_pool.hpp"
+
 namespace mcs::core {
 namespace {
 
@@ -12,10 +18,9 @@ TEST(Accepts, ChebyshevDominatesLambdaPerSet) {
   // ACET <= WCET^pes/4 is guaranteed by the generator's gap >= 8.
   taskgen::GeneratorConfig config;
   config.attach_distributions = false;
-  common::Rng rng(11);
   int lambda_only = 0;
   for (int t = 0; t < 60; ++t) {
-    common::Rng set_rng = rng.split();
+    common::Rng set_rng(common::index_seed(11, static_cast<std::uint64_t>(t)));
     const mc::TaskSet tasks = taskgen::generate_mixed(config, 0.8, set_rng);
     common::Rng a_rng(100 + static_cast<std::uint64_t>(t));
     common::Rng b_rng(100 + static_cast<std::uint64_t>(t));
@@ -68,6 +73,35 @@ TEST(AcceptanceRatio, DegradedLiuIsHarderThanDropAll) {
   const double baruah =
       acceptance_ratio(Approach::kBaruahChebyshev, 1.1, 60, 7);
   EXPECT_GE(baruah, liu);
+}
+
+TEST(AcceptanceRatio, SeedToSeedSpreadIsBinomial) {
+  // Each ratio is a mean over 200 sets. If those sets are independent,
+  // the ratios of 40 seeds scatter with the binomial variance
+  // p(1 - p)/200. Per-set streams that overlap (each set drawn from the
+  // previous set's generator shifted by one draw) share most of their
+  // tasks and push the spread to 5-8x that variance at these two points.
+  constexpr std::size_t kSeeds = 40;
+  constexpr std::size_t kSets = 200;
+  const std::pair<Approach, double> points[] = {
+      {Approach::kLiuChebyshev, 1.2}, {Approach::kBaruahChebyshev, 1.4}};
+  for (const auto& [approach, u] : points) {
+    std::vector<double> ratios;
+    for (std::uint64_t seed = 1; seed <= kSeeds; ++seed)
+      ratios.push_back(acceptance_ratio(approach, u, kSets, seed));
+    double mean = 0.0;
+    for (const double r : ratios) mean += r;
+    mean /= static_cast<double>(kSeeds);
+    double variance = 0.0;
+    for (const double r : ratios) variance += (r - mean) * (r - mean);
+    variance /= static_cast<double>(kSeeds - 1);
+    const double binomial =
+        mean * (1.0 - mean) / static_cast<double>(kSets);
+    ASSERT_GT(binomial, 0.0) << to_string(approach) << " u=" << u;
+    EXPECT_LT(variance, 2.0 * binomial)
+        << to_string(approach) << " u=" << u << " mean=" << mean
+        << " variance/binomial=" << variance / binomial;
+  }
 }
 
 TEST(ApproachNames, AreDistinct) {

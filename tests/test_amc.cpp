@@ -6,6 +6,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/thread_pool.hpp"
 #include "core/chebyshev_wcet.hpp"
 #include "sched/edf_vd.hpp"
 #include "taskgen/generator.hpp"
@@ -91,13 +92,13 @@ TEST(AmcRtb, EdfVdDominatesOnImplicitDeadlines) {
   // EDF is optimal on one processor: sets AMC-rtb accepts, EDF-VD accepts
   // too (on our utilization-style conditions this holds statistically; we
   // verify no AMC-accepted set is EDF-VD-rejected).
-  common::Rng rng(11);
   taskgen::GeneratorConfig config;
   config.attach_distributions = false;
   int amc_only = 0;
   int both = 0;
   for (int trial = 0; trial < 60; ++trial) {
-    common::Rng set_rng = rng.split();
+    common::Rng set_rng(
+        common::index_seed(11, static_cast<std::uint64_t>(trial)));
     mc::TaskSet tasks = taskgen::generate_mixed(config, 0.9, set_rng);
     const std::size_t hc = tasks.count(mc::Criticality::kHigh);
     (void)core::apply_chebyshev_assignment(tasks,
@@ -115,13 +116,13 @@ TEST(AmcRtb, ChebyshevAssignmentImprovesAmcSchedulability) {
   // The paper's claim that the scheme helps "any scheduling algorithm":
   // C^LO = ACET + 3 sigma admits at least as many sets under AMC-rtb as
   // C^LO = C^HI (no optimism).
-  common::Rng rng(13);
   taskgen::GeneratorConfig config;
   config.attach_distributions = false;
   int vestal_ok = 0;
   int chebyshev_ok = 0;
   for (int trial = 0; trial < 40; ++trial) {
-    common::Rng set_rng = rng.split();
+    common::Rng set_rng(
+        common::index_seed(13, static_cast<std::uint64_t>(trial)));
     mc::TaskSet tasks = taskgen::generate_mixed(config, 1.0, set_rng);
     if (amc_rtb_test(tasks).schedulable) ++vestal_ok;
     mc::TaskSet assigned = tasks;
@@ -158,13 +159,13 @@ TEST(AmcWithPriorities, Validation) {
 }
 
 TEST(AmcOpa, AcceptsEverythingDmAccepts) {
-  common::Rng rng(17);
   taskgen::GeneratorConfig config;
   config.attach_distributions = false;
   int dm_only = 0;
   int opa_extra = 0;
   for (int trial = 0; trial < 40; ++trial) {
-    common::Rng set_rng = rng.split();
+    common::Rng set_rng(
+        common::index_seed(17, static_cast<std::uint64_t>(trial)));
     mc::TaskSet tasks = taskgen::generate_mixed(config, 0.95, set_rng);
     const std::size_t hc = tasks.count(mc::Criticality::kHigh);
     (void)core::apply_chebyshev_assignment(tasks,

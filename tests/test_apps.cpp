@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <set>
 
 #include "apps/corner_kernel.hpp"
@@ -60,6 +61,11 @@ struct KernelCase {
   const char* label;
   KernelPtr kernel;
 };
+
+// Without this, gtest prints the case as raw bytes, pointers included, and
+// gtest_discover_tests puts that text in the CTest name, which then changes
+// from build to build with the load address.
+void PrintTo(const KernelCase& c, std::ostream* os) { *os << c.label; }
 
 class KernelContract : public ::testing::TestWithParam<KernelCase> {};
 

@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "sched/edf.hpp"
 #include "taskgen/generator.hpp"
 
@@ -98,11 +99,11 @@ TEST(EdfDbf, FullUtilizationImplicitIsSchedulable) {
 }
 
 TEST(EdfDbf, TighterDeadlineNeverHelps) {
-  common::Rng rng(7);
   taskgen::GeneratorConfig config;
   config.attach_distributions = false;
   for (int trial = 0; trial < 20; ++trial) {
-    common::Rng set_rng = rng.split();
+    common::Rng set_rng(
+        common::index_seed(7, static_cast<std::uint64_t>(trial)));
     mc::TaskSet implicit = taskgen::generate_mixed(config, 0.9, set_rng);
     mc::TaskSet constrained;
     for (std::size_t i = 0; i < implicit.size(); ++i) {

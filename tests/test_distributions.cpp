@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <stdexcept>
 
 #include "common/stats_accumulator.hpp"
@@ -19,6 +20,11 @@ struct MomentCase {
   double tolerance_mean;
   double tolerance_sd;
 };
+
+// Without this, gtest prints the case as raw bytes, pointers included, and
+// gtest_discover_tests puts that text in the CTest name, which then changes
+// from build to build with the load address.
+void PrintTo(const MomentCase& c, std::ostream* os) { *os << c.label; }
 
 class DistributionMoments : public ::testing::TestWithParam<MomentCase> {};
 

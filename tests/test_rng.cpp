@@ -171,25 +171,6 @@ TEST(Rng, ExponentialNonNegative) {
   for (int i = 0; i < 1000; ++i) EXPECT_GE(rng.exponential(0.1), 0.0);
 }
 
-TEST(Rng, SplitStreamsDecorrelated) {
-  Rng parent(31);
-  Rng child = parent.split();
-  int equal = 0;
-  for (int i = 0; i < 64; ++i)
-    if (parent() == child()) ++equal;
-  EXPECT_LT(equal, 4);
-}
-
-TEST(Rng, RepeatedSplitsDiffer) {
-  Rng parent(37);
-  Rng a = parent.split();
-  Rng b = parent.split();
-  int equal = 0;
-  for (int i = 0; i < 64; ++i)
-    if (a() == b()) ++equal;
-  EXPECT_LT(equal, 4);
-}
-
 TEST(Splitmix64, KnownSequenceIsDeterministic) {
   std::uint64_t s1 = 1234;
   std::uint64_t s2 = 1234;
