@@ -9,10 +9,8 @@
 //     verdicts are asserted bit-identical (verdict_equal) — a mismatch
 //     fails the run (exit 1), so this doubles as a live oracle check on
 //     whatever machine it is benchmarked on.
-//  2. Departure latency, eager vs. lazy cache rebuild: eager pays the
-//     re-scan inside remove() and keeps arrivals on the append path;
-//     lazy resolves most departures with the dbf-monotonicity shortcut
-//     and amortizes the rebuild onto the next arrival.
+//  2. Departure latency of the same churn: each remove() takes the
+//     departed task's demand off the exact profile.
 //  3. A rate summary (decisions/sec) per resident size.
 //
 // Latencies are per-op wall-clock samples collected in ReservoirSamplers
@@ -80,7 +78,6 @@ struct ChurnResult {
   double depart_p50 = 0.0, depart_p99 = 0.0;    ///< remove(), us
   double inc_seconds = 0.0;   ///< summed incremental decision time
   std::uint64_t mismatches = 0;
-  std::uint64_t shortcut_departures = 0;
   std::uint64_t departures = 0;
 };
 
@@ -88,10 +85,8 @@ struct ChurnResult {
 /// (admit one candidate; on success retire a uniformly random resident).
 /// A mirror vector applies the identical decisions so the from-scratch
 /// oracle always sees the exact resident set in admission order.
-ChurnResult run_churn(std::size_t target, std::uint64_t ops, bool eager,
-                      bool measure_scratch) {
-  mcs::core::AdmissionController controller(
-      {.eager_departure_rebuild = eager});
+ChurnResult run_churn(std::size_t target, std::uint64_t ops) {
+  mcs::core::AdmissionController controller;
   mcs::common::Rng rng(mcs::common::index_seed(7100, target));
   std::vector<mcs::mc::McTask> mirror;
   std::vector<std::uint64_t> ids;  // admission order, parallel to mirror
@@ -123,11 +118,8 @@ ChurnResult run_churn(std::size_t target, std::uint64_t ops, bool eager,
     const mcs::mc::McTask task = random_task(rng, serial++, target);
     // Build the oracle's set outside the timed regions: only analysis
     // cost is compared, not container assembly.
-    mcs::mc::TaskSet oracle_set;
-    if (measure_scratch) {
-      oracle_set = mcs::mc::TaskSet(mirror);
-      oracle_set.add(task);
-    }
+    mcs::mc::TaskSet oracle_set(mirror);
+    oracle_set.add(task);
 
     const Clock::time_point t0 = Clock::now();
     const mcs::core::AdmissionController::Decision d =
@@ -137,23 +129,21 @@ ChurnResult run_churn(std::size_t target, std::uint64_t ops, bool eager,
     out.inc_seconds += inc_us * 1e-6;
     ++out.decisions;
 
-    if (measure_scratch) {
-      const Clock::time_point t1 = Clock::now();
-      const mcs::core::AdmissionVerdict reference =
-          mcs::core::admission_check(oracle_set);
-      scratch.add(elapsed_us(t1));
-      if (!mcs::core::verdict_equal(d.verdict, reference)) {
-        ++out.mismatches;
-        std::fprintf(stderr,
-                     "VERDICT MISMATCH at size %zu op %llu: incremental "
-                     "{adm=%d x=%.17g dbf=%d inc=%d} scratch "
-                     "{adm=%d x=%.17g dbf=%d inc=%d}\n",
-                     target, static_cast<unsigned long long>(op),
-                     d.verdict.admitted, d.verdict.vd.x,
-                     d.verdict.dbf_schedulable, d.verdict.dbf_inconclusive,
-                     reference.admitted, reference.vd.x,
-                     reference.dbf_schedulable, reference.dbf_inconclusive);
-      }
+    const Clock::time_point t1 = Clock::now();
+    const mcs::core::AdmissionVerdict reference =
+        mcs::core::admission_check(oracle_set);
+    scratch.add(elapsed_us(t1));
+    if (!mcs::core::verdict_equal(d.verdict, reference)) {
+      ++out.mismatches;
+      std::fprintf(stderr,
+                   "VERDICT MISMATCH at size %zu op %llu: incremental "
+                   "{adm=%d x=%.17g dbf=%d inc=%d} scratch "
+                   "{adm=%d x=%.17g dbf=%d inc=%d}\n",
+                   target, static_cast<unsigned long long>(op),
+                   d.verdict.admitted, d.verdict.vd.x,
+                   d.verdict.dbf_schedulable, d.verdict.dbf_inconclusive,
+                   reference.admitted, reference.vd.x,
+                   reference.dbf_schedulable, reference.dbf_inconclusive);
     }
 
     if (d.admitted) {
@@ -175,7 +165,6 @@ ChurnResult run_churn(std::size_t target, std::uint64_t ops, bool eager,
   out.depart_p50 = depart.quantile(0.50);
   out.depart_p99 = depart.quantile(0.99);
   out.departures = controller.stats().departures - departures_before;
-  out.shortcut_departures = controller.stats().shortcut_departures;
   return out;
 }
 
@@ -235,19 +224,17 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> sizes = {10, 50, 100, 200};
   std::uint64_t mismatches = 0;
 
-  // Section 1: arrival latency, incremental vs. from-scratch (eager
-  // mode keeps every measured arrival on the append path).
+  // Section 1: arrival latency, incremental vs. from-scratch.
   mcs::common::Table arrival_table(
       {"residents", "ops", "incremental p50 (us)", "p99",
        "from-scratch p50 (us)", "p99", "speedup p50", "verdicts"});
   arrival_table.set_title("arrival decision latency (" +
                           std::to_string(ops) + " churn ops/size)");
-  std::vector<ChurnResult> eager_runs;
+  std::vector<ChurnResult> runs;
   for (const std::size_t size : sizes) {
-    const ChurnResult r =
-        run_churn(size, ops, /*eager=*/true, /*measure_scratch=*/true);
+    const ChurnResult r = run_churn(size, ops);
     mismatches += r.mismatches;
-    eager_runs.push_back(r);
+    runs.push_back(r);
     const double speedup =
         r.inc_p50 > 0.0 ? r.scratch_p50 / r.inc_p50 : 0.0;
     arrival_table.add_row(
@@ -263,46 +250,24 @@ int main(int argc, char** argv) {
   }
   std::fputs(arrival_table.render().c_str(), stdout);
 
-  // Section 2: departure latency, eager vs. lazy rebuild. The lazy runs
-  // skip the from-scratch oracle (its cost would swamp the run) — the
-  // eager section above already pinned verdict identity, and the churn
-  // oracle test suite covers lazy mode bit-for-bit.
+  // Section 2: departure latency of the same churn.
   mcs::common::Table depart_table(
-      {"residents", "eager p50 (us)", "p99", "lazy p50 (us)", "p99",
-       "lazy shortcut share"});
-  depart_table.set_title("departure latency, eager vs. lazy cache rebuild");
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    const ChurnResult& eager = eager_runs[i];
-    const ChurnResult lazy =
-        run_churn(sizes[i], ops, /*eager=*/false, /*measure_scratch=*/false);
-    const double share =
-        lazy.departures > 0
-            ? static_cast<double>(lazy.shortcut_departures) /
-                  static_cast<double>(lazy.departures)
-            : 0.0;
-    depart_table.add_row(
-        {std::to_string(lazy.resident_count),
-         format_fixed(eager.depart_p50, 2), format_fixed(eager.depart_p99, 2),
-         format_fixed(lazy.depart_p50, 2), format_fixed(lazy.depart_p99, 2),
-         format_fixed(100.0 * share, 1) + "%"});
-    json_records().push_back({"departure", eager.resident_count, "eager",
-                              eager.departures, eager.depart_p50,
-                              eager.depart_p99});
-    json_records().push_back({"departure", lazy.resident_count, "lazy",
-                              lazy.departures, lazy.depart_p50,
-                              lazy.depart_p99});
-    // Lazy arrivals absorb the amortized rebuild; record them too so the
-    // tradeoff is visible in the artifact.
-    json_records().push_back({"arrival", lazy.resident_count,
-                              "incremental-lazy", lazy.decisions,
-                              lazy.inc_p50, lazy.inc_p99});
+      {"residents", "departures", "p50 (us)", "p99"});
+  depart_table.set_title("departure latency (demand taken off the profile)");
+  for (const ChurnResult& r : runs) {
+    depart_table.add_row({std::to_string(r.resident_count),
+                          std::to_string(r.departures),
+                          format_fixed(r.depart_p50, 2),
+                          format_fixed(r.depart_p99, 2)});
+    json_records().push_back({"departure", r.resident_count, "incremental",
+                              r.departures, r.depart_p50, r.depart_p99});
   }
   std::printf("\n%s", depart_table.render().c_str());
 
   // Section 3: sustained decision rate (timed try_admit calls only).
   mcs::common::Table rate_table({"residents", "decisions", "decisions/sec"});
   rate_table.set_title("sustained incremental decision rate");
-  for (const ChurnResult& r : eager_runs) {
+  for (const ChurnResult& r : runs) {
     const double rate = r.inc_seconds > 0.0
                             ? static_cast<double>(r.decisions) / r.inc_seconds
                             : 0.0;

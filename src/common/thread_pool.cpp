@@ -13,6 +13,11 @@ namespace {
 /// submit() detect self-submission (deadlock hazard for waiters).
 thread_local const ThreadPool* tl_worker_pool = nullptr;
 
+/// Set while the current (non-worker) thread runs its own pump of a
+/// parallel region: it is then one of the region's `jobs` threads, and
+/// regions nested in it must run inline as they do on workers.
+thread_local bool tl_in_pump = false;
+
 std::atomic<std::size_t> g_default_jobs{0};  // 0 = not yet resolved
 
 std::mutex g_pool_mutex;
@@ -121,7 +126,7 @@ ThreadPool& shared_pool(std::size_t jobs) {
 
 bool must_run_inline(std::size_t count) {
   return count <= 1 || default_jobs() <= 1 ||
-         ThreadPool::on_worker_thread();
+         ThreadPool::on_worker_thread() || tl_in_pump;
 }
 
 std::size_t auto_grain(std::size_t count, std::size_t jobs) {
@@ -175,11 +180,12 @@ void run_chunked(std::size_t count, std::size_t grain, std::size_t jobs,
       batch->done.notify_all();
   };
 
-  // The caller participates as one pump so a pool of N workers yields N
-  // compute threads on top of the orchestrating thread's own work, and a
-  // 1-thread pool still overlaps caller and worker.
+  // The caller participates as one pump, so the region computes on
+  // `jobs` threads: the caller and jobs - 1 workers.
   for (std::size_t p = 1; p < pumps; ++p) pool.submit(pump);
-  pump();
+  tl_in_pump = true;
+  pump();  // catches everything the body throws
+  tl_in_pump = false;
   {
     std::unique_lock<std::mutex> lock(batch->mutex);
     batch->done.wait(lock, [&] {

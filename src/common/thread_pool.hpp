@@ -31,11 +31,12 @@
 // observable no-op for every N >= 1.
 //
 // Nesting: parallel regions do not compose into more parallelism. A
-// parallel_map/parallel_for issued from inside a worker runs its items
-// inline on that worker (serially, in index order) — same results, no
-// deadlock. ThreadPool::submit called from a worker of the same pool is
-// rejected with std::logic_error, since blocking on such a task could
-// starve the queue.
+// parallel_map/parallel_for issued from inside a region — on a worker or
+// in the calling thread's own pump — runs its items inline on that
+// thread (serially, in index order): same results, no deadlock, and
+// `--jobs N` computes on at most N threads. ThreadPool::submit called
+// from a worker of the same pool is rejected with std::logic_error,
+// since blocking on such a task could starve the queue.
 #pragma once
 
 #include <condition_variable>
@@ -126,7 +127,8 @@ void run_chunked(std::size_t count, std::size_t grain, std::size_t jobs,
 [[nodiscard]] std::size_t auto_grain(std::size_t count, std::size_t jobs);
 
 /// True when the calling context must execute parallel constructs inline:
-/// jobs <= 1, a trivial item count, or already inside a worker.
+/// jobs <= 1, a trivial item count, or already inside a parallel region
+/// (on a worker, or in the caller's own pump).
 [[nodiscard]] bool must_run_inline(std::size_t count);
 
 }  // namespace detail

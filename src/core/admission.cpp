@@ -1,10 +1,6 @@
 #include "core/admission.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstring>
-#include <limits>
-#include <queue>
 #include <stdexcept>
 #include <utility>
 
@@ -79,7 +75,7 @@ AdmissionController::AdmissionController()
     : AdmissionController(Config{}) {}
 
 AdmissionController::AdmissionController(Config config) : config_(config) {
-  cache_.complete = true;  // empty-set trace: nothing to scan
+  profile_.complete = true;  // the empty set's profile: nothing to scan
   current_ = combine(sched::edf_vd_test(sched::McUtilization{}), true, false);
 }
 
@@ -102,42 +98,11 @@ sched::McUtilization AdmissionController::fold_utilization(
   return u;
 }
 
-std::vector<sched::DbfTaskTerms> AdmissionController::term_span(
-    const Resident* extra) const {
-  std::vector<sched::DbfTaskTerms> terms;
-  terms.reserve(residents_.size() + (extra != nullptr));
-  for (const Resident& r : residents_) terms.push_back(r.terms);
-  if (extra) terms.push_back(extra->terms);
-  return terms;
-}
-
-AdmissionController::DemandOutcome AdmissionController::full_scan(
-    const Resident* extra) {
-  ++stats_.full_scans;
-  const std::vector<sched::DbfTaskTerms> terms = term_span(extra);
-  DemandOutcome out;
-  const sched::DbfResult r = sched::dbf_scan(terms, &out.trace);
-  out.schedulable = r.schedulable;
-  out.inconclusive = r.inconclusive;
-  return out;
-}
-
-void AdmissionController::ensure_cache() {
-  if (cache_valid_) return;
-  DemandOutcome out = full_scan(nullptr);
-  // The resident set is always truly feasible (only conclusively
-  // schedulable sets are admitted and demand only shrinks on departure),
-  // so this scan is schedulable or inconclusive, never violated — and
-  // when the departure shortcut claimed schedulable, it proved the scan
-  // stays within budget, so the two verdicts agree.
-  cache_ = std::move(out.trace);
-  cache_valid_ = true;
-  current_.dbf_schedulable = out.schedulable;
-  current_.dbf_inconclusive = out.inconclusive;
-  // A demand certificate recorded when this verdict was formed stays
-  // valid (same resident set, deterministic search).
-  current_.admitted = (current_.vd.schedulable && out.schedulable) ||
-                      current_.demand_admitted;
+sched::DbfResult AdmissionController::rescan(
+    const sched::DemandProfile& base, const sched::DbfTaskTerms& changed,
+    int sign, std::uint64_t* served) {
+  ++*(base.complete ? served : &stats_.full_scans);
+  return sched::dbf_apply(base, terms_, changed, sign, &scratch_);
 }
 
 void AdmissionController::apply_demand_backend(AdmissionVerdict* verdict,
@@ -149,146 +114,20 @@ void AdmissionController::apply_demand_backend(AdmissionVerdict* verdict,
   if (verdict->demand_admitted) ++stats_.demand_admissions;
 }
 
-AdmissionController::DemandOutcome AdmissionController::append_scan(
-    const Resident& extra) {
-  // Plan over the extended span: term_span appends the candidate at the
-  // end of admission order, so the plan's folds are bitwise the ones
-  // dbf_scan would compute from scratch.
-  const std::vector<sched::DbfTaskTerms> terms = term_span(&extra);
-  const sched::DbfScanPlan plan = sched::dbf_scan_plan(terms);
-  ++stats_.append_scans;
-  DemandOutcome out;
-  out.trace.horizon = plan.horizon;
-  if (plan.overloaded) return out;
-
-  // Merge-replay: instants come from the cached trace (all generated
-  // instants of the resident set up to its recorded horizon, in order),
-  // the candidate's own deadline sequence, and — once the cached trace is
-  // exhausted past its horizon — the residents' sequences regenerated by
-  // the same repeated addition dbf_scan uses (exact doubles). Cached
-  // instants all precede extension instants, so at any moment only two
-  // sources compete.
-  struct Next {
-    double time;
-    std::size_t task;
-    bool operator>(const Next& o) const { return time > o.time; }
-  };
-  std::priority_queue<Next, std::vector<Next>, std::greater<>> ext;
-  bool ext_ready = false;
-  const auto prepare_ext = [&]() -> bool {
-    if (ext_ready) return true;
-    if (!cache_.complete) return false;
-    for (std::size_t i = 0; i < residents_.size(); ++i) {
-      double t = residents_[i].terms.deadline;
-      while (!(t > cache_.horizon + sched::kDbfEps))
-        t += residents_[i].terms.period;
-      ext.push({t, i});
-    }
-    ext_ready = true;
-    return true;
-  };
-
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  std::size_t ci = 0;  // cursor into the cached trace
-  double cand = extra.terms.deadline;
-  std::size_t points = 0;
-  double last_checked = -1.0;
-  while (true) {
-    // Pop the smallest next instant (ties resolve arbitrarily in the
-    // from-scratch heap too; equal-time pops beyond the first are always
-    // skipped without changing scan state, so the order is immaterial).
-    int source;  // 0 = cached, 1 = candidate, 2 = extension
-    double time;
-    if (ci < cache_.times.size()) {
-      if (cand <= cache_.times[ci]) {
-        source = 1;
-        time = cand;
-      } else {
-        source = 0;
-        time = cache_.times[ci];
-      }
-    } else if (prepare_ext() && !ext.empty() && ext.top().time <= cand) {
-      source = 2;
-      time = ext.top().time;
-    } else if (ext_ready || residents_.empty()) {
-      source = 1;
-      time = cand;
-    } else {
-      // The cached scan stopped at the point budget; the denser merged
-      // scan provably stops no later, so running off the end of the
-      // cache means the cache is unusable — re-scan from scratch.
-      --stats_.append_scans;
-      return full_scan(&extra);
-    }
-
-    if (time > plan.horizon + sched::kDbfEps) break;
-    // dbf_scan pushes the successor instant right after popping.
-    if (source == 0) {
-      ++ci;
-    } else if (source == 1) {
-      cand += extra.terms.period;
-    } else {
-      const Next n = ext.top();
-      ext.pop();
-      ext.push({n.time + residents_[n.task].terms.period, n.task});
-    }
-
-    if (std::abs(time - last_checked) < sched::kDbfEps) {  // merged instant
-      if (out.trace.times.empty() || time != out.trace.times.back()) {
-        out.trace.times.push_back(time);
-        out.trace.demand.push_back(nan);
-      }
-      continue;
-    }
-    last_checked = time;
-    if (points >= sched::kDbfPointBudget) {
-      out.inconclusive = true;
-      return out;
-    }
-    ++points;
-    double demand;
-    if (source == 0 && !std::isnan(cache_.demand[ci - 1])) {
-      // Cached checked instant: its stored value is the left fold of the
-      // resident terms' demand, so appending the candidate's term is
-      // exactly the fold dbf_scan performs over the extended span.
-      demand =
-          cache_.demand[ci - 1] + sched::dbf_task_demand(extra.terms, time);
-    } else {
-      // Candidate or regenerated instant — or a cached near-duplicate
-      // that the shifted dedup anchor now checks: fold from scratch in
-      // admission order.
-      demand = 0.0;
-      for (const Resident& r : residents_)
-        demand += sched::dbf_task_demand(r.terms, time);
-      demand += sched::dbf_task_demand(extra.terms, time);
-    }
-    out.trace.times.push_back(time);
-    out.trace.demand.push_back(demand);
-    if (demand > time + sched::kDbfEps) return out;  // violation
-  }
-  out.trace.complete = true;
-  if (!plan.horizon_exact) {
-    out.inconclusive = true;
-    return out;
-  }
-  out.schedulable = true;
-  return out;
-}
-
 AdmissionController::Decision AdmissionController::try_admit(
     const mc::McTask& task) {
   if (!task.valid())
     throw std::invalid_argument("AdmissionController: invalid task");
   ++stats_.arrivals;
-  ensure_cache();
   Resident cand;
   cand.task = task;
-  cand.terms = sched::dbf_terms(task, mc::Mode::kLow);
   cand.u_lo = task.utilization(mc::Mode::kLow);
   cand.u_hi = task.utilization(mc::Mode::kHigh);
 
   const sched::EdfVdResult vd = sched::edf_vd_test(fold_utilization(&cand));
-  DemandOutcome dbf = append_scan(cand);
+  terms_.push_back(sched::dbf_terms(task, mc::Mode::kLow));
+  const sched::DbfResult dbf =
+      rescan(profile_, terms_.back(), +1, &stats_.append_scans);
   Decision decision;
   decision.verdict = combine(vd, dbf.schedulable, dbf.inconclusive);
   if (config_.backend == AdmissionBackend::kDemand &&
@@ -298,16 +137,16 @@ AdmissionController::Decision AdmissionController::try_admit(
     apply_demand_backend(&decision.verdict, candidate_set);
   }
   if (!decision.verdict.admitted) {
+    terms_.pop_back();
     ++stats_.rejected;
-    return decision;  // all cached state untouched
+    return decision;  // resident state untouched
   }
   cand.id = next_id_++;
   decision.admitted = true;
   decision.id = cand.id;
   index_[cand.id] = residents_.size();
   residents_.push_back(std::move(cand));
-  cache_ = std::move(dbf.trace);
-  cache_valid_ = true;
+  std::swap(profile_, scratch_);
   current_ = decision.verdict;
   ++stats_.admitted;
   return decision;
@@ -318,52 +157,18 @@ bool AdmissionController::remove(std::uint64_t id) {
   if (it == index_.end()) return false;
   ++stats_.departures;
   const std::size_t pos = it->second;
-  residents_.erase(residents_.begin() +
-                   static_cast<std::ptrdiff_t>(pos));
+  const sched::DbfTaskTerms departed = terms_[pos];
+  residents_.erase(residents_.begin() + static_cast<std::ptrdiff_t>(pos));
+  terms_.erase(terms_.begin() + static_cast<std::ptrdiff_t>(pos));
   index_.erase(it);
   for (auto& [rid, rpos] : index_)
     if (rpos > pos) --rpos;
 
-  // The Eq. 7 aggregates refold exactly over the remaining addends; the
-  // float demand fold cannot be "un-folded", so the dbf verdict needs
-  // either a re-scan or the monotonicity shortcut: removing a task only
-  // lowers dbf(t), so a conclusively schedulable set stays schedulable —
-  // valid as a *verdict* only when the shrunken set's own scan would also
-  // conclude (exact horizon, provably within the point budget).
   const sched::EdfVdResult vd = sched::edf_vd_test(fold_utilization(nullptr));
-  cache_valid_ = false;
-  bool resolved = false;
-  bool dbf_schedulable = false;
-  bool dbf_inconclusive = false;
-  if (!config_.eager_departure_rebuild && current_.dbf_schedulable &&
-      !current_.dbf_inconclusive) {
-    const std::vector<sched::DbfTaskTerms> terms = term_span(nullptr);
-    const sched::DbfScanPlan plan = sched::dbf_scan_plan(terms);
-    if (!plan.overloaded && plan.horizon_exact) {
-      // Conservative upper bound on the instants the scan would check
-      // (per-task count up to the horizon, padded for the eps guard and
-      // repeated-addition drift).
-      double upper = 0.0;
-      for (const sched::DbfTaskTerms& term : terms) {
-        if (term.deadline > plan.horizon + sched::kDbfEps) continue;
-        upper +=
-            std::floor((plan.horizon - term.deadline) / term.period) + 3.0;
-      }
-      if (upper < static_cast<double>(sched::kDbfPointBudget)) {
-        dbf_schedulable = true;
-        resolved = true;
-        ++stats_.shortcut_departures;
-      }
-    }
-  }
-  if (!resolved) {
-    DemandOutcome out = full_scan(nullptr);
-    cache_ = std::move(out.trace);
-    cache_valid_ = true;
-    dbf_schedulable = out.schedulable;
-    dbf_inconclusive = out.inconclusive;
-  }
-  current_ = combine(vd, dbf_schedulable, dbf_inconclusive);
+  const sched::DbfResult dbf =
+      rescan(profile_, departed, -1, &stats_.shortcut_departures);
+  std::swap(profile_, scratch_);
+  current_ = combine(vd, dbf.schedulable, dbf.inconclusive);
   if (config_.backend == AdmissionBackend::kDemand && !current_.admitted)
     apply_demand_backend(&current_, resident_set());
   return true;
@@ -383,16 +188,11 @@ AdmissionController::UpdateResult AdmissionController::try_update(
   if (!modified.task.valid())
     throw std::invalid_argument(
         "AdmissionController: update violates the task model");
-  modified.terms = sched::dbf_terms(modified.task, mc::Mode::kLow);
   modified.u_lo = modified.task.utilization(mc::Mode::kLow);
   modified.u_hi = modified.task.utilization(mc::Mode::kHigh);
 
-  // The change sits mid-fold, so no append identity applies: refold the
-  // aggregates and re-scan the demand with the modified terms in place.
-  std::vector<sched::DbfTaskTerms> terms;
-  terms.reserve(residents_.size());
-  for (std::size_t i = 0; i < residents_.size(); ++i)
-    terms.push_back(i == pos ? modified.terms : residents_[i].terms);
+  // The change sits mid-fold, so refold the aggregates with the modified
+  // addends in place.
   sched::McUtilization u;
   for (std::size_t i = 0; i < residents_.size(); ++i) {
     const Resident& r = i == pos ? modified : residents_[i];
@@ -404,12 +204,22 @@ AdmissionController::UpdateResult AdmissionController::try_update(
     }
   }
   const sched::EdfVdResult vd = sched::edf_vd_test(u);
-  ++stats_.full_scans;
-  DemandOutcome out;
-  const sched::DbfResult r = sched::dbf_scan(terms, &out.trace);
+
+  // The old demand comes off the profile, then the new demand goes on.
+  const auto at = terms_.begin() + static_cast<std::ptrdiff_t>(pos);
+  const sched::DbfTaskTerms old_terms = *at;
+  terms_.erase(at);
+  sched::DemandProfile without;  // incomplete unless the profile serves
+  if (profile_.complete)
+    (void)sched::dbf_apply(profile_, terms_, old_terms, -1, &without);
+  const sched::DbfTaskTerms new_terms =
+      sched::dbf_terms(modified.task, mc::Mode::kLow);
+  terms_.insert(terms_.begin() + static_cast<std::ptrdiff_t>(pos), new_terms);
+  const sched::DbfResult dbf =
+      rescan(without, new_terms, +1, &stats_.append_scans);
 
   UpdateResult result;
-  result.verdict = combine(vd, r.schedulable, r.inconclusive);
+  result.verdict = combine(vd, dbf.schedulable, dbf.inconclusive);
   if (config_.backend == AdmissionBackend::kDemand &&
       !result.verdict.admitted) {
     mc::TaskSet modified_set;
@@ -418,12 +228,12 @@ AdmissionController::UpdateResult AdmissionController::try_update(
     apply_demand_backend(&result.verdict, modified_set);
   }
   if (!result.verdict.admitted) {
+    terms_[pos] = old_terms;
     ++stats_.updates_rejected;
-    return result;  // keep the old task and cache
+    return result;  // keep the old task and profile
   }
   residents_[pos] = std::move(modified);
-  cache_ = std::move(out.trace);
-  cache_valid_ = true;
+  std::swap(profile_, scratch_);
   current_ = result.verdict;
   result.applied = true;
   return result;

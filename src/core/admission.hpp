@@ -6,9 +6,9 @@
 // always-safely. AdmissionController keeps the resident set together with
 // cached per-task analysis terms — the Eq. 7 utilization addends of the
 // EDF-VD test (sched/edf_vd.hpp) and the per-task demand terms plus the
-// scanned deadline-instant trace of the processor-demand test
-// (sched/dbf.hpp) — so one arrival re-validates the whole set in
-// O(changed instants) instead of re-running Eq. 8 + the DBF scan from
+// exact demand profile of the processor-demand test (sched/dbf.hpp) — so
+// one mutation re-validates the whole set in one pass over the profiled
+// deadline instants instead of re-running Eq. 8 + the DBF scan from
 // scratch.
 //
 // The incremental verdict is *bit-identical* to the from-scratch
@@ -16,16 +16,13 @@
 //  - utilization aggregates are re-folded left-to-right over cached
 //    addends in admission order, the exact fold TaskSet::utilization
 //    performs;
-//  - an arrival appends its terms at the end of that order, so every
-//    partial sum of the old fold is a prefix of the new one;
-//  - the demand scan replays the cached instant trace and merges the
-//    candidate's deadline sequence into it, folding cached per-instant
-//    totals with the candidate's dbf_task_demand — the same additions
-//    dbf_scan would perform on the extended term span;
-//  - departures either re-scan (the float fold cannot be "un-folded"
-//    exactly) or, when the old verdict was conclusively schedulable and
-//    the shrunken set provably stays within the point budget, use the
-//    monotonicity of dbf to skip the scan entirely.
+//  - the demand scan runs in exact int64 ticks, so the profile of the
+//    resident set can take one task's demand on (an arrival, +1) or off
+//    (a departure, -1; an update is -1 then +1): sched::dbf_apply
+//    returns exactly the verdict dbf_scan computes over the mutated set.
+//    Each mutation builds a fresh profile, committed only when the
+//    mutation is accepted; a from-scratch scan runs only when the
+//    profile is incomplete (the last scan stopped at its point budget).
 // tests/test_admission_oracle.cpp drives randomized churn against the
 // from-scratch oracle to hold this contract.
 //
@@ -109,10 +106,8 @@ struct AdmissionVerdict {
 class AdmissionController {
  public:
   struct Config {
-    /// Rebuild the demand cache eagerly when a departure invalidates it
-    /// (keeps every subsequent arrival on the O(instants) append path) or
-    /// lazily at the next decision that needs it (O(tasks) departures,
-    /// one full scan amortized onto the next arrival).
+    /// No effect: a departure always takes its demand off the exact
+    /// profile at once. Kept so that callers which still set it compile.
     bool eager_departure_rebuild = true;
     /// Schedulability backend. kDemand escalates base rejections to the
     /// deadline-tightening grid search — a strictly more permissive (and
@@ -125,11 +120,12 @@ class AdmissionController {
     std::uint64_t admitted = 0;
     std::uint64_t rejected = 0;
     std::uint64_t departures = 0;
-    /// Departures resolved by the dbf-monotonicity shortcut (no scan).
+    /// Departures served by the demand profile (no from-scratch scan).
     std::uint64_t shortcut_departures = 0;
     std::uint64_t updates = 0;
     std::uint64_t updates_rejected = 0;
-    /// Full demand scans (from-scratch cost) vs. cached append scans.
+    /// From-scratch demand scans, and arrivals and updates served by the
+    /// demand profile.
     std::uint64_t full_scans = 0;
     std::uint64_t append_scans = 0;
     /// kDemand backend only: grid searches run on base rejections, and
@@ -197,30 +193,18 @@ class AdmissionController {
   struct Resident {
     std::uint64_t id = 0;
     mc::McTask task;
-    sched::DbfTaskTerms terms;  ///< LO-mode demand terms
-    double u_lo = 0.0;          ///< utilization(kLow) addend
-    double u_hi = 0.0;          ///< utilization(kHigh) addend
-  };
-
-  /// Outcome of one demand evaluation, in DbfResult terms plus the trace
-  /// to commit when the mutation is accepted.
-  struct DemandOutcome {
-    bool schedulable = false;
-    bool inconclusive = false;
-    sched::DbfScanTrace trace;
+    double u_lo = 0.0;  ///< utilization(kLow) addend
+    double u_hi = 0.0;  ///< utilization(kHigh) addend
   };
 
   [[nodiscard]] sched::McUtilization fold_utilization(
       const Resident* extra) const;
-  [[nodiscard]] std::vector<sched::DbfTaskTerms> term_span(
-      const Resident* extra) const;
-  /// Full dbf_scan over residents (+ optional extra), counting stats.
-  DemandOutcome full_scan(const Resident* extra);
-  /// Merge-replay of the cached trace with one appended task; falls back
-  /// to full_scan when the cache cannot be extended soundly.
-  DemandOutcome append_scan(const Resident& extra);
-  /// Re-validates cache_ for the current residents (full scan if dirty).
-  void ensure_cache();
+  /// dbf verdict of terms_, from `base` — the profile of terms_ without
+  /// (sign +1) or with (sign -1) `changed` — into scratch_. Counts
+  /// `served` when base is complete, else a from-scratch scan.
+  sched::DbfResult rescan(const sched::DemandProfile& base,
+                          const sched::DbfTaskTerms& changed, int sign,
+                          std::uint64_t* served);
   /// kDemand backend escalation: when `verdict` rejects, runs the grid
   /// search over `tasks` and flips the verdict on a certificate. No-op
   /// under kUtilization. Counts stats.
@@ -229,10 +213,11 @@ class AdmissionController {
 
   Config config_;
   std::vector<Resident> residents_;  ///< admission order
+  std::vector<sched::DbfTaskTerms> terms_;  ///< LO-mode, parallel to residents_
   std::unordered_map<std::uint64_t, std::size_t> index_;
   AdmissionVerdict current_;
-  sched::DbfScanTrace cache_;  ///< instant trace of the resident set
-  bool cache_valid_ = true;    ///< empty-set trace is trivially valid
+  sched::DemandProfile profile_;  ///< demand profile of the resident set
+  sched::DemandProfile scratch_;  ///< profile of the pending mutation
   Stats stats_;
   std::uint64_t next_id_ = 1;
 };

@@ -11,14 +11,23 @@
 // model (a natural "library completeness" feature the EDF-VD analysis can
 // build on later).
 //
-// The scan itself is exposed in a reusable form (per-task terms, horizon
-// plan, and an optional per-instant trace) so the incremental admission
-// controller (core/admission) can cache demand terms and replay exactly
-// the same deadline-instant sequence — its verdicts are bit-identical to
-// edf_dbf_test by construction, not by accident.
+// The scan runs in exact integer arithmetic. Each task is converted once
+// to int64 ticks of 1 ps (kDbfTicksPerMs per ms of the time base), with
+// C rounded up and D and T rounded down, so the tick model's demand
+// dominates the real one at every t and its exact verdict is sound with
+// no tolerance. dbf(t) is then a running sum: popping task i's deadline
+// instant adds C_i. The horizon plan (overload test, La bound) stays in
+// double over the real task values.
+//
+// Because the sums are exact, they can also be taken apart again: a
+// DemandProfile records every distinct instant with its dbf, and
+// dbf_apply adds (+1) or subtracts (-1) one task's demand over it. The
+// incremental admission controller (core/admission) rides on that, and
+// its verdicts equal a from-scratch dbf_scan by construction.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -26,7 +35,8 @@
 
 namespace mcs::sched {
 
-/// Comparison tolerance of the demand scan (absolute, ms).
+/// Utilization tolerance of the horizon plan: U > 1 + eps is overloaded,
+/// U >= 1 - eps takes the hyperperiod horizon.
 inline constexpr double kDbfEps = 1e-9;
 
 /// Hard cap on checked deadline instants: when the analysis horizon (the
@@ -35,78 +45,86 @@ inline constexpr double kDbfEps = 1e-9;
 /// claims schedulability it has not verified.
 inline constexpr std::size_t kDbfPointBudget = 200'000;
 
+/// Scan resolution: 1 tick = 1 ps of the ms time base.
+inline constexpr double kDbfTicksPerMs = 1e9;
+
 /// dbf(t) in the given mode: total execution demand of jobs with both
-/// release and deadline inside any window of length t. Requires t >= 0.
+/// release and deadline inside any window of length t (real-valued, with
+/// a kDbfEps guard at the steps). Requires t >= 0.
 [[nodiscard]] double demand_bound(const mc::TaskSet& tasks, double t,
                                   mc::Mode mode);
 
 /// Outcome of the processor-demand test.
 struct DbfResult {
   bool schedulable = false;
-  /// True when the analysis ran out of its point budget before covering
-  /// the full horizon (U ≈ 1 sets whose hyperperiod cannot be bounded or
-  /// is too large to scan). No violation was found, but schedulability is
-  /// NOT established — callers must not treat this as schedulable.
+  /// True when the analysis could not cover the full horizon: the point
+  /// budget bound first (U ≈ 1 sets whose hyperperiod cannot be bounded
+  /// or is too large to scan), or a value or the horizon does not fit in
+  /// int64 ticks. No violation was found, but schedulability is NOT
+  /// established — callers must not treat this as schedulable.
   bool inconclusive = false;
-  /// First failing deadline instant (meaningful when !schedulable).
+  /// First failing deadline instant, ms (meaningful when !schedulable).
   double violation_time = 0.0;
-  /// dbf at the violation (meaningful when !schedulable).
+  /// dbf at the violation, ms (meaningful when !schedulable).
   double violation_demand = 0.0;
-  /// Number of deadline instants checked.
+  /// Number of distinct deadline instants checked.
   std::size_t points_checked = 0;
 };
 
-/// Per-task terms of the demand scan, precomputed once so the scan (and
-/// the admission cache) runs on flat PODs instead of McTask objects.
+/// Per-task terms of the demand scan, converted once: the plan's real
+/// utilization addends and the scan's tick values. A tick value within
+/// 1e-12 relative of a whole tick snaps to it; otherwise C rounds up and
+/// D and T round down.
 struct DbfTaskTerms {
-  double wcet = 0.0;
-  double deadline = 0.0;
-  double period = 0.0;
-  double util = 0.0;         ///< wcet / period
-  double laxity_util = 0.0;  ///< (period - deadline) * util, for La
+  double util = 0.0;          ///< C / T
+  double laxity_util = 0.0;   ///< (T - D) * C / T, for La
+  std::int64_t wcet = 0;      ///< C in ticks
+  std::int64_t deadline = 0;  ///< D in ticks
+  std::int64_t period = 0;    ///< T in ticks
+  /// False when C, D or T does not fit in int64 ticks (or D or T is
+  /// below one tick): any scan over the term is inconclusive.
+  bool fits = false;
 };
 
-/// Extracts the scan terms of one task in the given mode.
+/// Terms of one (C, D, T) triple in ms.
+[[nodiscard]] DbfTaskTerms dbf_terms(double wcet, double deadline,
+                                     double period);
+
+/// Terms of one task in the given mode.
 [[nodiscard]] DbfTaskTerms dbf_terms(const mc::McTask& task, mc::Mode mode);
 
-/// One task's contribution to dbf(t): the exact expression the scan
-/// folds, exported so cached-term paths reproduce it bit for bit.
-[[nodiscard]] double dbf_task_demand(const DbfTaskTerms& t, double time);
-
-/// Horizon decision of the scan (the folds run in span order, so two
-/// calls over the same term sequence agree bitwise).
-struct DbfScanPlan {
-  double total_util = 0.0;   ///< folded utilization (span order)
-  double max_deadline = 0.0;
-  double horizon = 0.0;
-  bool horizon_exact = true;  ///< false: capped scan, cannot conclude
-  bool overloaded = false;    ///< total_util > 1 + eps: reject, no scan
-};
-
-/// Computes the analysis horizon for a term sequence (La bound for U < 1,
-/// hyperperiod cap for U ≈ 1).
-[[nodiscard]] DbfScanPlan dbf_scan_plan(std::span<const DbfTaskTerms> terms);
-
-/// Optional per-instant record of one scan, consumed by the incremental
-/// admission cache. `times` holds every generated deadline instant up to
-/// the scan end in merged order, except exact duplicates of the
-/// preceding checked instant (their re-scan outcome is always "skipped",
-/// so they carry no information). `demand[i]` is the folded dbf at
-/// `times[i]` for checked instants and NaN for instants the scan skipped
-/// as near-duplicates (within kDbfEps of the last checked instant).
-struct DbfScanTrace {
-  std::vector<double> times;
-  std::vector<double> demand;  ///< aligned with times; NaN = not checked
-  double horizon = 0.0;        ///< plan horizon the scan ran against
-  /// True when the scan covered every instant up to the horizon (i.e. it
-  /// did not stop early at a violation or at the point budget).
+/// Exact demand profile of one term set: every distinct deadline instant
+/// up to `horizon` in increasing order, with the set's dbf there and the
+/// number of tasks that have a deadline at it.
+struct DemandProfile {
+  struct Step {
+    std::int64_t time = 0;     ///< ticks
+    std::int64_t demand = 0;   ///< dbf(time), ticks
+    std::uint32_t owners = 0;  ///< tasks with a deadline at `time`
+  };
+  std::vector<Step> steps;
+  std::int64_t horizon = 0;  ///< scan horizon of the set, ticks
+  /// True when the scan reached the horizon: `steps` holds every instant
+  /// up to it, none of them violated. Only a complete profile can be
+  /// updated by dbf_apply.
   bool complete = false;
 };
 
-/// The processor-demand scan over precomputed terms: exactly the loop of
-/// edf_dbf_test. With `trace`, records the instant sequence for reuse.
+/// The processor-demand scan over precomputed terms (the loop of
+/// edf_dbf_test). With `profile`, records the scanned instants.
 [[nodiscard]] DbfResult dbf_scan(std::span<const DbfTaskTerms> terms,
-                                 DbfScanTrace* trace = nullptr);
+                                 DemandProfile* profile = nullptr);
+
+/// The same verdict as dbf_scan(terms, profile), computed from the
+/// profile of a neighbouring set: `base` profiles `terms` without
+/// `changed` (sign +1, the task joined) or with it (sign -1, the task
+/// left). Walks base's instants merged with changed's deadlines and
+/// scans from scratch only the stretch past base's horizon, or the whole
+/// set when `base` is incomplete. `profile` must not alias `base`.
+[[nodiscard]] DbfResult dbf_apply(const DemandProfile& base,
+                                  std::span<const DbfTaskTerms> terms,
+                                  const DbfTaskTerms& changed, int sign,
+                                  DemandProfile* profile);
 
 /// Exact EDF feasibility for periodic constrained-deadline tasks in the
 /// given mode. Tasks with utilization sum > 1 are rejected immediately;

@@ -10,16 +10,6 @@ namespace mcs::sched {
 
 namespace {
 
-DbfTaskTerms make_terms(double wcet, double deadline, double period) {
-  DbfTaskTerms term;
-  term.wcet = wcet;
-  term.deadline = deadline;
-  term.period = period;
-  term.util = wcet / period;
-  term.laxity_util = (period - deadline) * term.util;
-  return term;
-}
-
 /// Both mode scans at one virtual-deadline factor.
 struct GridPointOutcome {
   bool schedulable = false;
@@ -33,12 +23,12 @@ GridPointOutcome check_factor(const mc::TaskSet& tasks, double x) {
   for (const mc::McTask& task : tasks) {
     const double deadline = task.deadline();
     if (task.criticality == mc::Criticality::kHigh) {
-      lo_terms.push_back(make_terms(task.wcet_lo, x * deadline,
-                                    task.period));
-      hi_terms.push_back(make_terms(task.wcet_hi, (1.0 - x) * deadline,
-                                    task.period));
+      lo_terms.push_back(dbf_terms(task.wcet_lo, x * deadline,
+                                   task.period));
+      hi_terms.push_back(dbf_terms(task.wcet_hi, (1.0 - x) * deadline,
+                                   task.period));
     } else {
-      lo_terms.push_back(make_terms(task.wcet_lo, deadline, task.period));
+      lo_terms.push_back(dbf_terms(task.wcet_lo, deadline, task.period));
     }
   }
   const DbfResult lo = dbf_scan(lo_terms);

@@ -23,7 +23,7 @@
 // a certificate. Because passing the tightened-deadline LO scan implies
 // passing the true-deadline one (dbf with earlier deadlines dominates
 // pointwise), everything this test admits has truly feasible LO-mode
-// demand — the property core/admission's cache soundness relies on.
+// demand, so a demand-admitted resident set is never known-infeasible.
 #pragma once
 
 #include <cstddef>

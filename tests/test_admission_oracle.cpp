@@ -6,13 +6,13 @@
 // resident set — same booleans, same x down to the last ulp. These tests
 // drive randomized churn sequences (mixed criticalities, constrained
 // deadlines, near-saturation sets, eps-tied deadline instants, exact-U=1
-// hyperperiod sets) through both departure-rebuild modes and check the
-// contract after every single step, along with the safety invariant that
-// the resident set is never in a known-infeasible state. The
-// DemandBackend suites extend the oracle to the kDemand escalation:
-// the deadline-tightening search admits a strict superset of the
-// utilization backend, and the incremental verdict (including the
-// demand_admitted/demand_x fields) stays bit-identical under churn.
+// hyperperiod sets) and check the contract after every single step,
+// along with the safety invariant that the resident set is never in a
+// known-infeasible state. The DemandBackend suites extend the oracle to
+// the kDemand escalation: the deadline-tightening search admits a strict
+// superset of the utilization backend, and the incremental verdict
+// (including the demand_admitted/demand_x fields) stays bit-identical
+// under churn.
 #include "core/admission.hpp"
 
 #include <gtest/gtest.h>
@@ -107,20 +107,18 @@ mc::McTask random_task(common::Rng& rng, int serial,
 /// final controller stats so callers can assert the exercised paths
 /// (gtest ASSERT_* forces a void return type here).
 void run_churn_sequence(
-    std::uint64_t seed, const ChurnProfile& profile, bool eager,
+    std::uint64_t seed, const ChurnProfile& profile,
     AdmissionBackend backend = AdmissionBackend::kUtilization,
     AdmissionController::Stats* stats_out = nullptr) {
   common::Rng rng(seed);
   AdmissionController::Config config;
-  config.eager_departure_rebuild = eager;
   config.backend = backend;
   AdmissionController ctl(config);
   std::vector<std::uint64_t> ids;
   int serial = 0;
   for (int step = 0; step < 30; ++step) {
-    const std::string context = "seed=" + std::to_string(seed) +
-                                " step=" + std::to_string(step) +
-                                (eager ? " eager" : " lazy");
+    const std::string context =
+        "seed=" + std::to_string(seed) + " step=" + std::to_string(step);
     const double r = rng.uniform01();
     if (r < 0.55 || ids.empty()) {
       const mc::McTask task = random_task(rng, serial++, profile);
@@ -176,22 +174,19 @@ void run_churn_sequence(
   if (stats_out != nullptr) *stats_out = ctl.stats();
 }
 
-// ~200 randomized sequences over both departure modes and three churn
-// profiles (the ISSUE's oracle requirement). Light per-sequence cost
-// keeps the suite in test-suite time budget.
+// ~200 randomized sequences over three churn profiles. Light
+// per-sequence cost keeps the suite in test-suite time budget.
 TEST(AdmissionOracle, RandomChurnImplicitDeadlines) {
   ChurnProfile profile;
   for (std::uint64_t seq = 0; seq < 60; ++seq)
-    run_churn_sequence(common::index_seed(9001, seq), profile,
-                       /*eager=*/(seq % 2) == 0);
+    run_churn_sequence(common::index_seed(9001, seq), profile);
 }
 
 TEST(AdmissionOracle, RandomChurnConstrainedDeadlines) {
   ChurnProfile profile;
   profile.constrained_p = 0.35;
   for (std::uint64_t seq = 0; seq < 60; ++seq)
-    run_churn_sequence(common::index_seed(9002, seq), profile,
-                       /*eager=*/(seq % 2) == 1);
+    run_churn_sequence(common::index_seed(9002, seq), profile);
 }
 
 TEST(AdmissionOracle, RandomChurnNearSaturation) {
@@ -204,8 +199,7 @@ TEST(AdmissionOracle, RandomChurnNearSaturation) {
   profile.constrained_p = 0.25;
   profile.integral_periods = true;
   for (std::uint64_t seq = 0; seq < 80; ++seq)
-    run_churn_sequence(common::index_seed(9003, seq), profile,
-                       /*eager=*/(seq % 2) == 0);
+    run_churn_sequence(common::index_seed(9003, seq), profile);
 }
 
 TEST(AdmissionOracle, EmptyControllerMatchesScratch) {
@@ -264,9 +258,9 @@ TEST(AdmissionOracle, ResidentSetPreservesAdmissionOrder) {
 }
 
 TEST(AdmissionOracle, EpsTiedDeadlinesMatchScratch) {
-  // Deadline instants within kDbfEps of each other exercise the dedup
-  // anchor bookkeeping in the cached trace: t2's first deadline lands
-  // 0.4 eps after t1's, and t3's lands between them on arrival.
+  // Deadline instants within kDbfEps of each other: t2's first deadline
+  // lands 0.4 eps (400 ticks) after t1's, and t3's lands between them on
+  // arrival — distinct instants of the exact profile.
   AdmissionController ctl;
   mc::McTask t1 = mc::McTask::low("t1", 1.0, 10.0);
   mc::McTask t2 = mc::McTask::low("t2", 1.0, 10.0 + 0.4e-9);
@@ -284,7 +278,7 @@ TEST(AdmissionOracle, EpsTiedDeadlinesMatchScratch) {
 
 TEST(AdmissionOracle, ExactFullUtilizationHyperperiodBranch) {
   // U == 1 exactly: the from-scratch scan uses the hyperperiod horizon;
-  // the append path must reproduce the same horizon fold — including the
+  // the profile path must reproduce the same horizon — including the
   // arrival that *enters* the U ≈ 1 branch (horizon can shrink).
   AdmissionController ctl;
   const mc::McTask a = mc::McTask::low("a", 4.0, 8.0);     // u = 0.5
@@ -299,53 +293,15 @@ TEST(AdmissionOracle, ExactFullUtilizationHyperperiodBranch) {
   }
   expect_verdict_eq(ctl.current(), admission_check(ctl.resident_set()),
                     "U=1 resident");
-  // Departure from the exact-U=1 set (lazy mode covered by churn tests).
+  // Departure from the exact-U=1 set.
   ASSERT_TRUE(ctl.remove(1));
   expect_verdict_eq(ctl.current(), admission_check(ctl.resident_set()),
                     "U=1 after departure");
 }
 
-TEST(AdmissionOracle, LazyAndEagerModesAgreeOnVerdicts) {
-  common::Rng rng(77);
-  AdmissionController::Config lazy_cfg;
-  lazy_cfg.eager_departure_rebuild = false;
-  AdmissionController eager;  // default config is eager
-  AdmissionController lazy(lazy_cfg);
-  std::vector<std::uint64_t> eager_ids;
-  std::vector<std::uint64_t> lazy_ids;
-  ChurnProfile profile;
-  profile.u_lo = 0.05;
-  profile.u_hi = 0.2;
-  int serial = 0;
-  for (int step = 0; step < 60; ++step) {
-    if (rng.uniform01() < 0.6 || eager_ids.empty()) {
-      const mc::McTask task = random_task(rng, serial++, profile);
-      const auto de = eager.try_admit(task);
-      const auto dl = lazy.try_admit(task);
-      EXPECT_TRUE(verdict_equal(de.verdict, dl.verdict)) << "step " << step;
-      if (de.admitted) eager_ids.push_back(de.id);
-      if (dl.admitted) lazy_ids.push_back(dl.id);
-      ASSERT_EQ(eager_ids.size(), lazy_ids.size());
-    } else {
-      const std::size_t pick = rng.uniform_u64(0, eager_ids.size() - 1);
-      ASSERT_TRUE(eager.remove(eager_ids[pick]));
-      ASSERT_TRUE(lazy.remove(lazy_ids[pick]));
-      eager_ids.erase(eager_ids.begin() + static_cast<std::ptrdiff_t>(pick));
-      lazy_ids.erase(lazy_ids.begin() + static_cast<std::ptrdiff_t>(pick));
-    }
-    EXPECT_TRUE(verdict_equal(eager.current(), lazy.current()))
-        << "step " << step;
-  }
-  // The lazy mode must actually have taken shortcuts for this test to
-  // mean anything.
-  EXPECT_GT(lazy.stats().shortcut_departures, 0u);
-  EXPECT_EQ(eager.stats().shortcut_departures, 0u);
-}
-
 TEST(AdmissionOracle, AppendPathIsActuallyUsed) {
-  // The incrementality claim: under arrival-only churn, every decision
-  // after the first rides the cached append path; full scans stay O(1)
-  // in the number of arrivals.
+  // The incrementality claim: every decision rides the demand profile;
+  // full scans stay at zero in the number of arrivals and departures.
   AdmissionController ctl;
   common::Rng rng(31);
   ChurnProfile profile;
@@ -355,8 +311,8 @@ TEST(AdmissionOracle, AppendPathIsActuallyUsed) {
   EXPECT_EQ(ctl.stats().arrivals, 40u);
   EXPECT_EQ(ctl.stats().append_scans, 40u);
   EXPECT_EQ(ctl.stats().full_scans, 0u);
-  // Eager departures rebuild immediately; arrivals stay on the append
-  // path afterwards.
+  // A departure takes its demand off the profile: no scan from scratch,
+  // and arrivals stay on the profile afterwards.
   const auto ids = [&] {
     std::vector<std::uint64_t> v;
     for (std::uint64_t id = 1; id <= 40; ++id)
@@ -365,10 +321,35 @@ TEST(AdmissionOracle, AppendPathIsActuallyUsed) {
   }();
   ASSERT_FALSE(ids.empty());
   ASSERT_TRUE(ctl.remove(ids[ids.size() / 2]));
-  EXPECT_EQ(ctl.stats().full_scans, 1u);
+  EXPECT_EQ(ctl.stats().full_scans, 0u);
+  EXPECT_EQ(ctl.stats().shortcut_departures, 1u);
   (void)ctl.try_admit(random_task(rng, serial++, profile));
   EXPECT_EQ(ctl.stats().append_scans, 41u);
-  EXPECT_EQ(ctl.stats().full_scans, 1u);
+  EXPECT_EQ(ctl.stats().full_scans, 0u);
+}
+
+TEST(AdmissionOracle, ChurnOnCompleteProfileNeverScansFromScratch) {
+  // Admits, removes and updates over sets whose scans all conclude: the
+  // exact profile serves every decision, so no scan ever runs from
+  // scratch — and each step still matches admission_check (checked
+  // inside run_churn_sequence).
+  ChurnProfile profile;
+  profile.constrained_p = 0.35;
+  std::uint64_t departures = 0;
+  std::uint64_t updates = 0;
+  for (std::uint64_t seq = 0; seq < 20; ++seq) {
+    AdmissionController::Stats stats;
+    run_churn_sequence(common::index_seed(9005, seq), profile,
+                       AdmissionBackend::kUtilization, &stats);
+    EXPECT_EQ(stats.full_scans, 0u) << "seq " << seq;
+    EXPECT_EQ(stats.shortcut_departures, stats.departures) << "seq " << seq;
+    EXPECT_EQ(stats.append_scans, stats.arrivals + stats.updates)
+        << "seq " << seq;
+    departures += stats.departures;
+    updates += stats.updates;
+  }
+  EXPECT_GT(departures, 0u);
+  EXPECT_GT(updates, 0u);
 }
 
 TEST(AdmissionOracle, UpdateRejectionKeepsOldBudget) {
@@ -522,8 +503,7 @@ TEST(DemandBackend, RandomChurnMatchesScratch) {
   for (std::uint64_t seq = 0; seq < 40; ++seq) {
     AdmissionController::Stats stats;
     run_churn_sequence(common::index_seed(9004, seq), profile,
-                       /*eager=*/(seq % 2) == 0, AdmissionBackend::kDemand,
-                       &stats);
+                       AdmissionBackend::kDemand, &stats);
     searches += stats.demand_searches;
     admissions += stats.demand_admissions;
   }

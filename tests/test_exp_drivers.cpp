@@ -175,9 +175,17 @@ TEST(AblationA4, ChebyshevIsSafeQuantileIsTight) {
 }
 
 TEST(AblationA2A3, SimulatorConfirmsAnalysis) {
-  const auto points = run_sim_validation({0.5}, 3, 40000.0, 11, tiny_ga());
+  // A stressed multiplier cap (as bench/ablation_runtime_policy uses)
+  // makes C^LO budgets small enough that jobs overrun them and LC jobs
+  // get dropped; otherwise every simulator column reads 0 and the checks
+  // below could not fail.
+  core::OptimizerConfig optimizer = tiny_ga();
+  optimizer.n_cap = 2.0;
+  const auto points = run_sim_validation({0.5}, 3, 40000.0, 11, optimizer);
   ASSERT_EQ(points.size(), 1U);
   const SimValidationPoint& p = points[0];
+  EXPECT_GT(p.sim_overrun_rate, 0.0);
+  EXPECT_GT(p.sim_drop_rate_dropall, 0.0);
   // The measured overrun rate must respect the analytic bound, HC tasks
   // must never miss deadlines, and degrading must drop fewer LC jobs.
   EXPECT_LE(p.sim_overrun_rate, p.analytic_p_ms + 0.05);

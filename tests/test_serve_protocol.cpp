@@ -203,6 +203,17 @@ TEST(ServeProtocol, SingleCoreRepliesStayLegacyShaped) {
   EXPECT_EQ(stats.find("probes="), std::string::npos) << stats;
 }
 
+TEST(ServeProtocol, PeriodBeyondTickRangeIsRejected) {
+  // 1e12 ms is 1e21 ticks of the demand scan (1 ps), past int64: the scan
+  // is inconclusive, so the task is rejected rather than admitted — and
+  // a later, ordinary arrival is not blocked by it.
+  ServeSession session;
+  EXPECT_EQ(session.handle_line("admit name=big crit=LC wcet_lo=1 period=1e12"),
+            "reject admit big vd=ok dbf=inconclusive resident=0");
+  EXPECT_EQ(session.handle_line("admit name=mid crit=LC wcet_lo=1 period=1e6"),
+            "ok admit mid id=1 x=1 resident=1");
+}
+
 TEST(ServeProtocol, HandleLineSurvivesHostileInput) {
   // A grab-bag of hostile lines: none may throw, every non-silent one
   // answers ok/err/reject.

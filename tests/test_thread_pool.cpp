@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -179,6 +182,30 @@ TEST(ThreadPool, NestedMapRunsInlineWithoutDeadlock) {
       });
   for (std::size_t i = 0; i < sums.size(); ++i)
     EXPECT_EQ(sums[i], i * 100 * 32 + 31 * 32 / 2);
+}
+
+TEST(ThreadPool, NestedRegionInCallerPumpStaysWithinJobs) {
+  // The caller is one of the `jobs` pumps, so a region nested in its pump
+  // must run inline like one nested on a worker: a two-level map at
+  // jobs 2 computes on at most 2 threads, not on an idle third worker.
+  const JobsGuard guard(2);
+  std::mutex mutex;
+  std::set<std::thread::id> threads;
+  const std::vector<std::size_t> sums = parallel_map(8, [&](std::size_t i) {
+    const std::vector<std::size_t> inner = parallel_map(8, [&](std::size_t j) {
+      {
+        const std::lock_guard<std::mutex> lock(mutex);
+        threads.insert(std::this_thread::get_id());
+      }
+      // Long enough that an idle worker would pick up a nested pump.
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      return i * 8 + j;
+    });
+    return std::accumulate(inner.begin(), inner.end(), std::size_t{0});
+  });
+  for (std::size_t i = 0; i < sums.size(); ++i)
+    EXPECT_EQ(sums[i], i * 64 + 28);
+  EXPECT_LE(threads.size(), 2U);
 }
 
 TEST(ThreadPool, SubmitFromOwnWorkerIsRejected) {

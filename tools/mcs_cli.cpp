@@ -682,7 +682,6 @@ int cmd_serve(int argc, const char* const* argv) {
   std::string script;
   std::uint64_t min_jobs = 100;
   double tolerance = 0.15;
-  bool lazy = false;
   bool listen = false;
   std::string bind_address = "127.0.0.1";
   std::uint64_t port = 0;
@@ -710,9 +709,6 @@ int cmd_serve(int argc, const char* const* argv) {
               "jobs before drift verdicts fire (default 100)");
   cli.add_double("tolerance", &tolerance,
                  "relative moment-drift tolerance (default 0.15)");
-  cli.add_flag("lazy-departures", &lazy,
-               "defer demand-cache rebuilds from departures to the next\n"
-               "arrival (O(tasks) departures)");
   std::string admission = "utilization";
   cli.add_string("admission", &admission,
                  "schedulability backend: utilization (Eq. 8 + LO demand "
@@ -747,7 +743,6 @@ int cmd_serve(int argc, const char* const* argv) {
     return 1;
   }
   core::ServeSession::Config config;
-  config.admission.eager_departure_rebuild = !lazy;
   config.admission.backend = core::parse_admission_backend(admission);
   config.moment_tolerance = tolerance;
   config.min_jobs = min_jobs;
