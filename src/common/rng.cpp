@@ -4,14 +4,6 @@
 
 namespace mcs::common {
 
-namespace {
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
 std::uint64_t splitmix64(std::uint64_t& state) {
   state += 0x9E3779B97F4A7C15ULL;
   std::uint64_t z = state;
@@ -26,39 +18,6 @@ Rng::Rng(std::uint64_t seed) {
   // All-zero state is invalid for xoshiro; SplitMix64 cannot produce four
   // consecutive zeros from any seed, but keep a belt-and-braces guard.
   if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) state_[0] = 1;
-}
-
-Rng::result_type Rng::operator()() {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::uniform01() {
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
-double Rng::uniform(double lo, double hi) {
-  return lo + (hi - lo) * uniform01();
-}
-
-std::uint64_t Rng::uniform_u64(std::uint64_t lo, std::uint64_t hi) {
-  const std::uint64_t span = hi - lo;
-  if (span == std::numeric_limits<std::uint64_t>::max()) return (*this)();
-  const std::uint64_t bound = span + 1;
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t limit =
-      std::numeric_limits<std::uint64_t>::max() -
-      (std::numeric_limits<std::uint64_t>::max() % bound) - 1;
-  std::uint64_t draw = (*this)();
-  while (draw > limit) draw = (*this)();
-  return lo + draw % bound;
 }
 
 std::int64_t Rng::uniform_i64(std::int64_t lo, std::int64_t hi) {
@@ -93,12 +52,6 @@ double Rng::normal() {
 
 double Rng::normal(double mean, double sigma) {
   return mean + sigma * normal();
-}
-
-bool Rng::bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform01() < p;
 }
 
 double Rng::exponential(double lambda) {

@@ -7,6 +7,10 @@
 // on std::mt19937, so that the stream is stable across standard-library
 // implementations. A loop that needs one stream per work item seeds item i
 // with Rng(index_seed(base, i)) (common/thread_pool.hpp).
+//
+// The raw draw and the uniform, integer and Bernoulli draws built on it are
+// defined inline below, so hot loops such as GA breeding (several draws
+// per child) compile them into the loop instead of calling out per draw.
 #pragma once
 
 #include <array>
@@ -67,9 +71,56 @@ class Rng {
   [[nodiscard]] double exponential(double lambda);
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> state_{};
   double spare_normal_ = 0.0;
   bool has_spare_normal_ = false;
 };
+
+inline Rng::result_type Rng::operator()() {
+  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+  const std::uint64_t t = state_[1] << 17;
+  state_[2] ^= state_[0];
+  state_[3] ^= state_[1];
+  state_[1] ^= state_[2];
+  state_[0] ^= state_[3];
+  state_[2] ^= t;
+  state_[3] = rotl(state_[3], 45);
+  return result;
+}
+
+inline double Rng::uniform01() {
+  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+}
+
+inline double Rng::uniform(double lo, double hi) {
+  return lo + (hi - lo) * uniform01();
+}
+
+inline std::uint64_t Rng::uniform_u64(std::uint64_t lo, std::uint64_t hi) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t span = hi - lo;
+  if (span == kMax) return (*this)();
+  const std::uint64_t bound = span + 1;
+  // Rejection sampling to avoid modulo bias: a draw above
+  // limit = kMax - (kMax % bound) - 1 is redrawn. limit >= kMax - bound, so
+  // a draw at or below kMax - bound is accepted without the division that
+  // computes limit; draws and results are those of always computing it.
+  std::uint64_t draw = (*this)();
+  if (draw > kMax - bound) {
+    const std::uint64_t limit = kMax - (kMax % bound) - 1;
+    while (draw > limit) draw = (*this)();
+  }
+  return lo + draw % bound;
+}
+
+inline bool Rng::bernoulli(double p) {
+  if (p <= 0.0) return false;
+  if (p >= 1.0) return true;
+  return uniform01() < p;
+}
 
 }  // namespace mcs::common

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <vector>
 
 #include "core/chebyshev_wcet.hpp"
 #include "sched/edf_vd.hpp"
@@ -11,12 +10,11 @@ namespace mcs::core {
 
 namespace {
 
-ObjectiveBreakdown finish(double u_hc_lo, double u_hc_hi,
-                          std::span<const double> effective_n) {
+ObjectiveBreakdown finish(double u_hc_lo, double u_hc_hi, double p_ms) {
   ObjectiveBreakdown b;
   b.u_hc_lo = u_hc_lo;
   b.u_hc_hi = u_hc_hi;
-  b.p_ms = system_mode_switch_probability(effective_n);
+  b.p_ms = p_ms;
   b.feasible = u_hc_lo <= 1.0 && u_hc_hi <= 1.0;
   if (!b.feasible) {
     b.max_u_lc = 0.0;
@@ -32,32 +30,37 @@ ObjectiveBreakdown finish(double u_hc_lo, double u_hc_hi,
 
 ObjectiveBreakdown evaluate_multipliers(const mc::TaskSet& tasks,
                                         std::span<const double> n) {
-  const std::vector<std::size_t> hc = tasks.indices(mc::Criticality::kHigh);
-  if (hc.size() != n.size())
-    throw std::invalid_argument(
+  // One pass and no allocation: this is the GA's fitness function. The
+  // Eq. 10 product is folded in task order, as
+  // system_mode_switch_probability folds it, so the bits match.
+  const auto mismatch = [] {
+    return std::invalid_argument(
         "evaluate_multipliers: one multiplier per HC task required");
+  };
   double u_hc_lo = 0.0;
   double u_hc_hi = 0.0;
-  std::vector<double> effective;
-  effective.reserve(hc.size());
-  for (std::size_t k = 0; k < hc.size(); ++k) {
-    const mc::McTask& task = tasks[hc[k]];
+  double no_switch = 1.0;
+  std::size_t k = 0;
+  for (const mc::McTask& task : tasks) {
+    if (task.criticality != mc::Criticality::kHigh) continue;
+    if (k == n.size()) throw mismatch();
     if (!task.stats.has_value())
       throw std::invalid_argument(
           "evaluate_multipliers: HC task without execution stats");
     if (n[k] < 0.0)
       throw std::invalid_argument("evaluate_multipliers: n must be >= 0");
-    const double wcet_lo = chebyshev_wcet_opt(task.stats->acet,
-                                              task.stats->sigma, n[k],
-                                              task.wcet_hi);
+    const double acet = task.stats->acet;
+    const double sigma = task.stats->sigma;
+    const double wcet_lo = chebyshev_wcet_opt(acet, sigma, n[k], task.wcet_hi);
     u_hc_lo += wcet_lo / task.period;
     u_hc_hi += task.wcet_hi / task.period;
     // Effective multiplier after the Eq. 9 clamp.
-    const double sigma = task.stats->sigma;
-    effective.push_back(sigma > 0.0 ? (wcet_lo - task.stats->acet) / sigma
-                                    : n[k]);
+    const double effective = sigma > 0.0 ? (wcet_lo - acet) / sigma : n[k];
+    no_switch *= 1.0 - task_overrun_bound(effective);
+    ++k;
   }
-  return finish(u_hc_lo, u_hc_hi, effective);
+  if (k != n.size()) throw mismatch();
+  return finish(u_hc_lo, u_hc_hi, 1.0 - no_switch);
 }
 
 ObjectiveBreakdown evaluate_current_assignment(const mc::TaskSet& tasks) {
@@ -65,8 +68,8 @@ ObjectiveBreakdown evaluate_current_assignment(const mc::TaskSet& tasks) {
       tasks.utilization(mc::Criticality::kHigh, mc::Mode::kLow);
   const double u_hc_hi =
       tasks.utilization(mc::Criticality::kHigh, mc::Mode::kHigh);
-  const std::vector<double> implied = implied_multipliers(tasks);
-  return finish(u_hc_lo, u_hc_hi, implied);
+  return finish(u_hc_lo, u_hc_hi,
+                system_mode_switch_probability(implied_multipliers(tasks)));
 }
 
 }  // namespace mcs::core

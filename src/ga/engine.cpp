@@ -12,27 +12,24 @@ namespace mcs::ga {
 
 namespace {
 
-/// Evaluates every unevaluated individual of `population`, fanning the
-/// fitness calls out across the shared thread pool. Problem::evaluate is
-/// a pure function of the genes, so the only ordering that matters is
-/// where each result lands — and results are written back by index, which
-/// makes the outcome identical to the serial loop for any --jobs value.
-/// Results pass through sanitize_fitness (see problem.hpp): a NaN or
-/// infinite objective becomes -inf instead of corrupting the comparator.
+/// Evaluates every unevaluated individual of `population` in place,
+/// fanning the fitness calls out across the shared thread pool. `todo` is
+/// a reused index buffer. Problem::evaluate is a pure function of the
+/// genes and each call writes only its own individual, so the outcome is
+/// identical to the serial loop for any --jobs value. Results pass through
+/// sanitize_fitness (see problem.hpp): a NaN or infinite objective becomes
+/// -inf instead of corrupting the comparator.
 void evaluate_population(std::vector<Individual>& population,
-                         const Problem& problem, std::size_t& evals) {
-  std::vector<std::size_t> todo;
+                         const Problem& problem, std::vector<std::size_t>& todo,
+                         std::size_t& evals) {
+  todo.clear();
   for (std::size_t i = 0; i < population.size(); ++i)
     if (!population[i].evaluated) todo.push_back(i);
-  if (todo.empty()) return;
-  const std::vector<double> fitness =
-      common::parallel_map(todo.size(), [&](std::size_t k) {
-        return sanitize_fitness(problem.evaluate(population[todo[k]].genes));
-      });
-  for (std::size_t k = 0; k < todo.size(); ++k) {
-    population[todo[k]].fitness = fitness[k];
-    population[todo[k]].evaluated = true;
-  }
+  common::parallel_for(todo.size(), [&](std::size_t k) {
+    Individual& ind = population[todo[k]];
+    ind.fitness = sanitize_fitness(problem.evaluate(ind.genes));
+    ind.evaluated = true;
+  });
   evals += todo.size();
 }
 
@@ -67,15 +64,16 @@ GenerationStats summarize_population(const std::vector<Individual>& population) 
   return s;
 }
 
-std::vector<Individual> breed_generation(
-    const std::vector<Individual>& population, const Problem& problem,
-    const GaConfig& config, common::Rng& rng) {
-  std::vector<Individual> next;
-  next.reserve(config.population_size);
+void breed_generation(const std::vector<Individual>& population,
+                      const GaConfig& config, BreedBuffers& buffers,
+                      common::Rng& rng, std::vector<Individual>& next) {
+  const std::size_t size = config.population_size;
+  next.resize(size);
 
   // Elitism: carry over the current best individuals unchanged. Sorting
   // indices avoids deep-copying every genome just to find the winners.
-  std::vector<std::size_t> order(population.size());
+  std::vector<std::size_t>& order = buffers.order;
+  order.resize(population.size());
   std::iota(order.begin(), order.end(), 0);
   std::partial_sort(order.begin(),
                     order.begin() + static_cast<std::ptrdiff_t>(
@@ -84,28 +82,30 @@ std::vector<Individual> breed_generation(
                       return fitter(population[a], population[b]);
                     });
   for (std::size_t e = 0; e < config.elitism; ++e)
-    next.push_back(population[order[e]]);
+    next[e] = population[order[e]];
 
-  while (next.size() < config.population_size) {
+  for (std::size_t slot = config.elitism; slot < size; slot += 2) {
     const std::size_t parent_a =
         tournament_select(population, config.tournament_size, rng);
     const std::size_t parent_b =
         tournament_select(population, config.tournament_size, rng);
-    Individual child_a = population[parent_a];
-    Individual child_b = population[parent_b];
+    Individual& child_a = next[slot];
+    Individual& child_b = slot + 1 < size ? next[slot + 1] : buffers.dropped;
+    child_a = population[parent_a];
+    child_b = population[parent_b];
     if (rng.bernoulli(config.crossover_prob))
       two_point_crossover(child_a.genes, child_b.genes, rng);
     auto mutate = [&](Genome& genes) {
       if (config.mutation == MutationKind::kGaussian)
-        gaussian_mutation(genes, problem, rng,
+        gaussian_mutation(genes, buffers.box, rng,
                           config.gaussian_sigma_fraction);
       else
-        single_point_mutation(genes, problem, rng);
+        single_point_mutation(genes, buffers.box, rng);
     };
     if (rng.bernoulli(config.mutation_prob)) mutate(child_a.genes);
     if (rng.bernoulli(config.mutation_prob)) mutate(child_b.genes);
-    clamp_to_bounds(child_a.genes, problem);
-    clamp_to_bounds(child_b.genes, problem);
+    clamp_to_bounds(child_a.genes, buffers.box);
+    clamp_to_bounds(child_b.genes, buffers.box);
     // Invalidate only genomes the operators actually changed. Tournament
     // selection can pick the same parent twice, making the crossover swap
     // a no-op, and a mutation can redraw the value already there; in both
@@ -116,11 +116,7 @@ std::vector<Individual> breed_generation(
       child_a.evaluated = false;
     if (child_b.genes != population[parent_b].genes)
       child_b.evaluated = false;
-    next.push_back(std::move(child_a));
-    if (next.size() < config.population_size)
-      next.push_back(std::move(child_b));
   }
-  return next;
 }
 
 GaResult run_ga(const Problem& problem, const GaConfig& config) {
@@ -128,20 +124,26 @@ GaResult run_ga(const Problem& problem, const GaConfig& config) {
 
   common::Rng rng(config.seed);
   GaResult result;
+  result.history.reserve(config.generations);
+  BreedBuffers buffers(problem);
+  std::vector<std::size_t> todo;
 
   std::vector<Individual> population(config.population_size);
-  for (Individual& ind : population) ind.genes = random_genome(problem, rng);
-  evaluate_population(population, problem, result.evaluations);
+  for (Individual& ind : population)
+    ind.genes = random_genome(buffers.box, rng);
+  evaluate_population(population, problem, todo, result.evaluations);
 
   result.best = *std::max_element(
       population.begin(), population.end(),
       [&](const Individual& a, const Individual& b) { return fitter(b, a); });
 
+  // Two populations for the whole run: each generation is bred into the
+  // spare one, reusing its genome storage, and then the two swap.
+  std::vector<Individual> next = population;
   for (std::size_t gen = 0; gen < config.generations; ++gen) {
-    std::vector<Individual> next =
-        breed_generation(population, problem, config, rng);
-    evaluate_population(next, problem, result.evaluations);
-    population = std::move(next);
+    breed_generation(population, config, buffers, rng, next);
+    evaluate_population(next, problem, todo, result.evaluations);
+    population.swap(next);
 
     result.history.push_back(summarize_population(population));
     for (const Individual& ind : population)

@@ -59,16 +59,31 @@ void validate_ga_config(const Problem& problem, const GaConfig& config,
 [[nodiscard]] GenerationStats summarize_population(
     const std::vector<Individual>& population);
 
-/// One generational breeding step: elitism then tournament/crossover/
-/// mutation until the next population is full. Children whose genome ends
-/// up identical to their parent's (no-op crossover between equal parents,
-/// mutation redrawing the same value) keep the parent's cached fitness
-/// instead of being re-evaluated. Consumes exactly the same RNG draw
-/// sequence as the historical inline loop, so seeds reproduce old runs.
-/// This is the building block shared between run_ga and ga/islands.
-[[nodiscard]] std::vector<Individual> breed_generation(
-    const std::vector<Individual>& population, const Problem& problem,
-    const GaConfig& config, common::Rng& rng);
+/// What breed_generation reuses from one generation to the next: the box
+/// bounds, read once per run, the elitism index buffer, and a slot for the
+/// child that an odd number of free places leaves over (it is bred, so its
+/// RNG draws happen, then dropped).
+struct BreedBuffers {
+  explicit BreedBuffers(const Problem& problem) : box(problem) {}
+  Box box;
+  std::vector<std::size_t> order;
+  Individual dropped;
+};
+
+/// One generational breeding step from `population` into `next` (resized to
+/// config.population_size; must not alias `population`): elitism then
+/// tournament/crossover/mutation until `next` is full. Children are
+/// copy-assigned into `next`'s existing genome storage, so once the
+/// buffers have reached their size a generation allocates nothing.
+/// Children whose genome ends up identical to their parent's (no-op
+/// crossover between equal parents, mutation redrawing the same value)
+/// keep the parent's cached fitness instead of being re-evaluated.
+/// Consumes exactly the same RNG draw sequence as the historical inline
+/// loop, so seeds reproduce old runs. This is the building block shared
+/// between run_ga and ga/islands.
+void breed_generation(const std::vector<Individual>& population,
+                      const GaConfig& config, BreedBuffers& buffers,
+                      common::Rng& rng, std::vector<Individual>& next);
 
 /// Runs the generational GA on `problem`, maximizing fitness.
 /// Requires population_size >= 2 and dimension >= 1.

@@ -221,6 +221,7 @@ void evolve_islands_epoch(const Problem& problem, const IslandGaConfig& config,
   if (history != nullptr && history->size() < islands)
     history->resize(islands);
 
+  BreedBuffers buffers(problem);
   // Per-epoch counter-based RNG streams: nothing carries over, so a
   // shard can reproduce any (island, epoch) cell in isolation.
   std::vector<common::Rng> rngs;
@@ -236,7 +237,7 @@ void evolve_islands_epoch(const Problem& problem, const IslandGaConfig& config,
       std::vector<Individual>& population = state[i];
       population.assign(config.ga.population_size, Individual{});
       for (Individual& ind : population)
-        ind.genes = random_genome(problem, rng);
+        ind.genes = random_genome(buffers.box, rng);
       // Warm start: overwrite the tail with the seed genomes. The random
       // draws above already happened, so the RNG stream (and with it the
       // rest of the run's structure) is independent of the injection.
@@ -247,7 +248,7 @@ void evolve_islands_epoch(const Problem& problem, const IslandGaConfig& config,
         const Genome& seed = config.seed_genomes[k];
         const std::size_t copy = std::min(seed.size(), target.genes.size());
         std::copy_n(seed.begin(), copy, target.genes.begin());
-        clamp_to_bounds(target.genes, problem);
+        clamp_to_bounds(target.genes, buffers.box);
       }
     }
     evaluate_islands(state, begin, end, problem, cache, stats);
@@ -278,9 +279,12 @@ void evolve_islands_epoch(const Problem& problem, const IslandGaConfig& config,
   }
 
   const auto [gen_begin, gen_end] = epoch_generations(config, epoch);
+  std::vector<Individual> spare;
   for (std::size_t gen = gen_begin; gen < gen_end; ++gen) {
-    for (std::size_t i = begin; i < end; ++i)
-      state[i] = breed_generation(state[i], problem, config.ga, rngs[i - begin]);
+    for (std::size_t i = begin; i < end; ++i) {
+      breed_generation(state[i], config.ga, buffers, rngs[i - begin], spare);
+      state[i].swap(spare);
+    }
     evaluate_islands(state, begin, end, problem, cache, stats);
     if (history != nullptr)
       for (std::size_t i = begin; i < end; ++i)

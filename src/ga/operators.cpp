@@ -5,6 +5,14 @@
 
 namespace mcs::ga {
 
+Box::Box(const Problem& problem)
+    : lower(problem.dimension()), upper(problem.dimension()) {
+  for (std::size_t i = 0; i < lower.size(); ++i) {
+    lower[i] = problem.lower_bound(i);
+    upper[i] = problem.upper_bound(i);
+  }
+}
+
 void two_point_crossover(Genome& a, Genome& b, common::Rng& rng) {
   if (a.size() != b.size() || a.empty())
     throw std::invalid_argument(
@@ -15,17 +23,16 @@ void two_point_crossover(Genome& a, Genome& b, common::Rng& rng) {
   for (std::size_t i = lo; i <= hi; ++i) std::swap(a[i], b[i]);
 }
 
-void single_point_mutation(Genome& genes, const Problem& problem,
-                           common::Rng& rng) {
+void single_point_mutation(Genome& genes, const Box& box, common::Rng& rng) {
   if (genes.empty())
     throw std::invalid_argument("single_point_mutation: empty genome");
   const auto i =
       static_cast<std::size_t>(rng.uniform_u64(0, genes.size() - 1));
-  genes[i] = rng.uniform(problem.lower_bound(i), problem.upper_bound(i));
+  genes[i] = rng.uniform(box.lower[i], box.upper[i]);
 }
 
-void gaussian_mutation(Genome& genes, const Problem& problem,
-                       common::Rng& rng, double sigma_fraction) {
+void gaussian_mutation(Genome& genes, const Box& box, common::Rng& rng,
+                       double sigma_fraction) {
   if (genes.empty())
     throw std::invalid_argument("gaussian_mutation: empty genome");
   if (sigma_fraction <= 0.0)
@@ -33,8 +40,8 @@ void gaussian_mutation(Genome& genes, const Problem& problem,
         "gaussian_mutation: sigma_fraction must be > 0");
   const auto i =
       static_cast<std::size_t>(rng.uniform_u64(0, genes.size() - 1));
-  const double lo = problem.lower_bound(i);
-  const double hi = problem.upper_bound(i);
+  const double lo = box.lower[i];
+  const double hi = box.upper[i];
   const double sigma = sigma_fraction * (hi - lo);
   genes[i] = std::clamp(genes[i] + rng.normal(0.0, sigma), lo, hi);
 }
@@ -56,17 +63,16 @@ std::size_t tournament_select(const std::vector<Individual>& population,
   return best;
 }
 
-Genome random_genome(const Problem& problem, common::Rng& rng) {
-  Genome genes(problem.dimension());
+Genome random_genome(const Box& box, common::Rng& rng) {
+  Genome genes(box.lower.size());
   for (std::size_t i = 0; i < genes.size(); ++i)
-    genes[i] = rng.uniform(problem.lower_bound(i), problem.upper_bound(i));
+    genes[i] = rng.uniform(box.lower[i], box.upper[i]);
   return genes;
 }
 
-void clamp_to_bounds(Genome& genes, const Problem& problem) {
+void clamp_to_bounds(Genome& genes, const Box& box) {
   for (std::size_t i = 0; i < genes.size(); ++i)
-    genes[i] = std::clamp(genes[i], problem.lower_bound(i),
-                          problem.upper_bound(i));
+    genes[i] = std::clamp(genes[i], box.lower[i], box.upper[i]);
 }
 
 }  // namespace mcs::ga

@@ -101,6 +101,10 @@ struct BoundCase {
   DistributionPtr dist;
 };
 
+// Prints the label, so the CTest names that gtest_discover_tests builds
+// from the parameter do not carry pointer bytes that change every build.
+void PrintTo(const BoundCase& c, std::ostream* os) { *os << c.label; }
+
 class ChebyshevBoundProperty : public ::testing::TestWithParam<BoundCase> {};
 
 TEST_P(ChebyshevBoundProperty, EmpiricalExceedanceBelowBound) {

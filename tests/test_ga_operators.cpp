@@ -72,7 +72,7 @@ TEST(SinglePointMutation, ChangesExactlyOneGeneWithinBounds) {
   common::Rng rng(5);
   for (int trial = 0; trial < 50; ++trial) {
     Genome g(8, 5.0);
-    single_point_mutation(g, problem, rng);
+    single_point_mutation(g, Box(problem), rng);
     int changed = 0;
     for (const double x : g) {
       EXPECT_GE(x, 0.0);
@@ -88,7 +88,7 @@ TEST(GaussianMutation, LocalPerturbationWithinBounds) {
   common::Rng rng(13);
   for (int trial = 0; trial < 100; ++trial) {
     Genome g(6, 5.0);
-    gaussian_mutation(g, problem, rng, 0.05);
+    gaussian_mutation(g, Box(problem), rng, 0.05);
     int changed = 0;
     for (const double x : g) {
       EXPECT_GE(x, 0.0);
@@ -107,10 +107,10 @@ TEST(GaussianMutation, Validation) {
   const BoxProblem problem(2);
   common::Rng rng(1);
   Genome g(2, 1.0);
-  EXPECT_THROW(gaussian_mutation(g, problem, rng, 0.0),
+  EXPECT_THROW(gaussian_mutation(g, Box(problem), rng, 0.0),
                std::invalid_argument);
   Genome empty;
-  EXPECT_THROW(gaussian_mutation(empty, problem, rng, 0.1),
+  EXPECT_THROW(gaussian_mutation(empty, Box(problem), rng, 0.1),
                std::invalid_argument);
 }
 
@@ -149,7 +149,7 @@ TEST(TournamentSelect, Validation) {
 TEST(RandomGenome, RespectsBounds) {
   const BoxProblem problem(20);
   common::Rng rng(11);
-  const Genome g = random_genome(problem, rng);
+  const Genome g = random_genome(Box(problem), rng);
   EXPECT_EQ(g.size(), 20U);
   for (const double x : g) {
     EXPECT_GE(x, 0.0);
@@ -160,7 +160,7 @@ TEST(RandomGenome, RespectsBounds) {
 TEST(ClampToBounds, PullsOutliersIn) {
   const BoxProblem problem(3);
   Genome g = {-5.0, 5.0, 15.0};
-  clamp_to_bounds(g, problem);
+  clamp_to_bounds(g, Box(problem));
   EXPECT_DOUBLE_EQ(g[0], 0.0);
   EXPECT_DOUBLE_EQ(g[1], 5.0);
   EXPECT_DOUBLE_EQ(g[2], 10.0);

@@ -60,7 +60,7 @@ TEST(Reservoir, UniformInclusionOverLongStream) {
       ++segment_hits[static_cast<std::size_t>(v) / (kStream / kSegments)];
   }
   constexpr int kTotal = kCapacity * kTrials;
-  for (int s = 0; s < kSegments; ++s) {
+  for (std::size_t s = 0; s < segment_hits.size(); ++s) {
     const double fraction = static_cast<double>(segment_hits[s]) / kTotal;
     // Binomial std-dev of a segment fraction is ~0.0017; 0.02 is > 10 sigma.
     EXPECT_NEAR(fraction, 1.0 / kSegments, 0.02) << "segment " << s;

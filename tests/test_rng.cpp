@@ -72,6 +72,26 @@ TEST(Rng, UniformU64InclusiveRange) {
   EXPECT_EQ(seen.size(), 6U);  // every value in [10,15] appears
 }
 
+TEST(Rng, UniformU64FollowsTheRejectionRule) {
+  // Reference rule: redraw while the raw draw exceeds
+  // max - (max % bound) - 1, then reduce it mod bound. Bounds just above
+  // 2^63 reject about half the raw draws, so the redraw path runs often.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t bounds[] = {1, 5, 60, (1ULL << 63) + 1, 3ULL << 62,
+                                  kMax};
+  for (const std::uint64_t bound : bounds) {
+    Rng rng(31);
+    Rng raw(31);
+    const std::uint64_t limit = kMax - (kMax % bound) - 1;
+    for (int i = 0; i < 2000; ++i) {
+      std::uint64_t draw = raw();
+      while (draw > limit) draw = raw();
+      ASSERT_EQ(rng.uniform_u64(0, bound - 1), draw % bound)
+          << "bound " << bound << " draw " << i;
+    }
+  }
+}
+
 TEST(Rng, UniformU64SingletonRange) {
   Rng rng(5);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(rng.uniform_u64(42, 42), 42U);
