@@ -41,6 +41,9 @@ sockaddr_in make_addr(const std::string& address, std::uint16_t port) {
   return addr;
 }
 
+/// Unsent reply bytes above which a connection is not read (back-pressure).
+constexpr std::size_t kMaxUnsentBytes = std::size_t{1} << 20;
+
 }  // namespace
 
 int accept_retry(int fd) {
@@ -98,6 +101,8 @@ void close_retry(int fd) {
 
 bool LineBuffer::feed(const char* data, std::size_t n) {
   if (overflowed_) return false;
+  buffer_.erase(0, start_);
+  start_ = 0;
   buffer_.append(data, n);
   // Only the unterminated tail is bounded: complete lines are consumed by
   // next() before more input is fed in the server loop.
@@ -110,19 +115,19 @@ bool LineBuffer::feed(const char* data, std::size_t n) {
 }
 
 bool LineBuffer::next(std::string* line) {
-  const std::size_t pos = buffer_.find('\n');
+  const std::size_t pos = buffer_.find('\n', start_);
   if (pos == std::string::npos) {
-    if (buffer_.size() > max_line_) overflowed_ = true;
+    if (buffer_.size() - start_ > max_line_) overflowed_ = true;
     return false;
   }
-  if (pos > max_line_) {
+  if (pos - start_ > max_line_) {
     overflowed_ = true;
     return false;
   }
-  std::size_t len = pos;
-  if (len > 0 && buffer_[len - 1] == '\r') --len;  // tolerate CRLF clients
-  line->assign(buffer_, 0, len);
-  buffer_.erase(0, pos + 1);
+  std::size_t end = pos;
+  if (end > start_ && buffer_[end - 1] == '\r') --end;  // CRLF clients
+  line->assign(buffer_, start_, end - start_);
+  start_ = pos + 1;
   return true;
 }
 
@@ -253,11 +258,10 @@ void LineServer::drop_connection(std::size_t i) {
 
 void LineServer::handle_lines(std::size_t i) {
   Connection& conn = conns_[i];
-  std::string line;
-  while (!conn.closing && conn.in.next(&line)) {
-    ++stats_.lines;
-    conn.last_activity_ms = now_ms();
-    LineOutcome outcome = handler_(conn.id, line);
+  std::uint64_t handled = 0;
+  while (!conn.closing && conn.in.next(&line_)) {
+    ++handled;
+    LineOutcome outcome = handler_(conn.id, line_);
     if (!outcome.reply.empty()) {
       conn.out += outcome.reply;
       conn.out += '\n';
@@ -267,6 +271,10 @@ void LineServer::handle_lines(std::size_t i) {
       conn.closing = true;
       shutdown_ = true;
     }
+  }
+  if (handled > 0) {  // one clock read and one counter update per read
+    stats_.lines += handled;
+    conn.last_activity_ms = now_ms();
   }
   if (conn.in.overflowed() && !conn.closing) {
     ++stats_.overlong_lines;
@@ -282,7 +290,9 @@ bool LineServer::service_input(std::size_t i) {
     if (r > 0) {
       (void)conns_[i].in.feed(buf, static_cast<std::size_t>(r));
       handle_lines(i);
-      if (static_cast<std::size_t>(r) < sizeof buf) return true;
+      if (static_cast<std::size_t>(r) < sizeof buf ||
+          conns_[i].out.size() > kMaxUnsentBytes)
+        return true;
       continue;  // possibly more buffered input
     }
     if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
@@ -320,7 +330,9 @@ void LineServer::run() {
         {listener_.fd(), static_cast<short>(accept_paused ? 0 : POLLIN), 0});
     fds.push_back({stop_pipe_[0], POLLIN, 0});
     for (const Connection& c : conns_) {
-      short events = POLLIN;
+      // Back-pressure: a connection whose peer leaves too many replies
+      // unread is not read until they drain.
+      short events = c.out.size() > kMaxUnsentBytes ? 0 : POLLIN;
       if (!c.out.empty()) events |= POLLOUT;
       fds.push_back({c.fd, events, 0});
     }

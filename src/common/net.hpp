@@ -1,13 +1,14 @@
 // Minimal poll-based TCP line server and client plumbing.
 //
 // The admission service speaks a transport-agnostic one-request-per-line
-// protocol (core/admission.hpp ServeSession); this module supplies the
+// protocol (core/serve.hpp ServeSession); this module supplies the
 // network transport under `mcs-cli serve --listen`: a single-threaded
 // poll(2) loop multiplexing one listener and many client connections,
-// with per-connection line framing, bounded input lines, write
-// back-pressure via per-connection output queues (replies always leave in
-// request order), idle disconnects, and a self-pipe so another thread or
-// a signal handler can request a graceful shutdown.
+// with per-connection line framing, bounded input lines, per-connection
+// output queues (replies always leave in request order) that stop the
+// reading of a connection whose peer does not drain them, idle
+// disconnects, and a self-pipe so another thread or a signal handler can
+// request a graceful shutdown.
 //
 // All syscalls go through EINTR-safe wrappers: a signal delivered to the
 // serving process (SIGCHLD from a supervisor, a forwarded SIGTERM that a
@@ -20,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 struct pollfd;  // <poll.h>; only the .cpp needs the definition
@@ -50,7 +52,8 @@ void close_retry(int fd);
 /// the terminator (and any preceding '\r') stripped. A line longer than
 /// `max_line` flips the buffer into an overflow state: the connection
 /// cannot be resynchronized safely and should be dropped after an error
-/// reply.
+/// reply. next() only advances a read cursor; feed() first drops the
+/// consumed prefix, which moves just the bytes next() has not returned.
 class LineBuffer {
  public:
   explicit LineBuffer(std::size_t max_line = 1 << 16)
@@ -64,13 +67,17 @@ class LineBuffer {
   /// buffered.
   bool next(std::string* line);
 
-  /// Remaining unterminated tail (a final line without '\n' before EOF).
-  [[nodiscard]] const std::string& tail() const { return buffer_; }
+  /// The bytes next() has not returned yet (after the last complete line:
+  /// a final line without '\n' before EOF).
+  [[nodiscard]] std::string_view tail() const {
+    return std::string_view(buffer_).substr(start_);
+  }
 
   [[nodiscard]] bool overflowed() const { return overflowed_; }
 
  private:
   std::string buffer_;
+  std::size_t start_ = 0;  ///< read cursor: buffer_[start_..] is unconsumed
   std::size_t max_line_;
   bool overflowed_ = false;
 };
@@ -126,8 +133,9 @@ struct ServerConfig {
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral
   int backlog = 64;
-  /// Disconnect a connection with no complete request for this long
-  /// (<= 0 disables the idle reaper).
+  /// Disconnect a connection with no complete request for this long,
+  /// counted from the socket read that completed its last request (<= 0
+  /// disables the idle reaper).
   double idle_timeout_ms = -1.0;
   /// Longest accepted request line; beyond it the connection gets one
   /// `err` reply and is dropped (no resynchronization).
@@ -137,6 +145,12 @@ struct ServerConfig {
   std::size_t max_connections = 64;
 };
 
+/// A connection with more than 1 MiB of unsent replies is not read until
+/// its peer drains them, so a client that sends requests but never reads
+/// stalls in its own socket buffers instead of growing server memory. A
+/// client must therefore read replies while it writes requests (as
+/// `mcs-cli client` does): one that writes a long script before reading
+/// anything waits forever.
 class LineServer {
  public:
   /// `on_line(conn_id, line)` runs once per complete request line, in
@@ -217,6 +231,7 @@ class LineServer {
   Handler handler_;
   TcpListener listener_;
   std::vector<Connection> conns_;
+  std::string line_;  ///< handle_lines' request line, reused across reads
   StatsCounters stats_;
   int stop_pipe_[2] = {-1, -1};
   std::uint64_t next_conn_id_ = 1;

@@ -1,13 +1,12 @@
 #include "core/serve.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <initializer_list>
-#include <string_view>
 
 #include "core/chebyshev_wcet.hpp"
 
@@ -15,48 +14,57 @@ namespace mcs::core {
 
 namespace {
 
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
+/// Splits `line` at whitespace into `tokens`, as views into `line`.
+void tokenize(std::string_view line, std::vector<std::string_view>* tokens) {
+  tokens->clear();
   std::size_t i = 0;
   while (i < line.size()) {
-    while (i < line.size() && std::isspace(static_cast<unsigned char>(line[i])))
-      ++i;
+    while (i < line.size() && is_request_space(line[i])) ++i;
     std::size_t j = i;
-    while (j < line.size() &&
-           !std::isspace(static_cast<unsigned char>(line[j])))
-      ++j;
-    if (j > i) tokens.push_back(line.substr(i, j - i));
+    while (j < line.size() && !is_request_space(line[j])) ++j;
+    if (j > i) tokens->push_back(line.substr(i, j - i));
     i = j;
   }
-  return tokens;
 }
 
 /// Finds `key=` among the argument tokens; returns the value part.
-std::optional<std::string> find_arg(const std::vector<std::string>& tokens,
-                                    const std::string& key) {
-  const std::string prefix = key + "=";
-  for (std::size_t i = 1; i < tokens.size(); ++i)
-    if (tokens[i].rfind(prefix, 0) == 0)
-      return tokens[i].substr(prefix.size());
+std::optional<std::string_view> find_arg(
+    const std::vector<std::string_view>& tokens, std::string_view key) {
+  for (std::size_t i = 1; i < tokens.size(); ++i) {
+    const std::string_view t = tokens[i];
+    if (t.size() > key.size() && t[key.size()] == '=' && t.starts_with(key))
+      return t.substr(key.size() + 1);
+  }
   return std::nullopt;
 }
 
 /// Strict-parse outcome of one numeric argument.
 enum class Num { kAbsent, kInvalid, kOk };
 
-/// Strictly parses `key=<double>`: the whole value must be consumed, the
-/// magnitude must be representable (no ERANGE overflow to ±inf or
-/// underflow trap), and the result must be finite — "nan", "inf",
-/// "1e999", "3.5x" and "" are all kInvalid, never a silent 0.0.
-Num parse_num(const std::vector<std::string>& tokens, const std::string& key,
-              double* out) {
-  const std::optional<std::string> raw = find_arg(tokens, key);
+/// Strictly parses `key=<double>`: strtod's C-locale grammar, the whole
+/// value consumed, no ERANGE (overflow, or an inexact result below the
+/// smallest normal double) and a finite result — "nan", "inf", "1e999",
+/// "1e-310", "3.5x" and "" are all kInvalid, never a silent 0.0.
+/// std::from_chars reads a subset of that grammar with the same rounding,
+/// so its value is taken when it consumes the whole value with a normal
+/// result; everything else (a leading '+', hex floats, zero, subnormals,
+/// errors) is decided by strtod.
+Num parse_num(const std::vector<std::string_view>& tokens,
+              std::string_view key, double* out) {
+  const std::optional<std::string_view> raw = find_arg(tokens, key);
   if (!raw) return Num::kAbsent;
-  if (raw->empty()) return Num::kInvalid;
+  const char* const last = raw->data() + raw->size();
+  double v = 0.0;
+  const auto [ptr, ec] = std::from_chars(raw->data(), last, v);
+  if (ec == std::errc() && ptr == last && std::isnormal(v)) {
+    *out = v;
+    return Num::kOk;
+  }
+  const std::string value(*raw);  // strtod reads up to the first NUL
   errno = 0;
   char* end = nullptr;
-  const double v = std::strtod(raw->c_str(), &end);
-  if (end == raw->c_str() || *end != '\0' || errno == ERANGE ||
+  v = std::strtod(value.c_str(), &end);
+  if (end == value.c_str() || *end != '\0' || errno == ERANGE ||
       !std::isfinite(v))
     return Num::kInvalid;
   *out = v;
@@ -64,9 +72,9 @@ Num parse_num(const std::vector<std::string>& tokens, const std::string& key,
 }
 
 /// Strictly parses `key=<positive integer>` (digits only).
-Num parse_id(const std::vector<std::string>& tokens, const std::string& key,
-             std::uint64_t* out) {
-  const std::optional<std::string> raw = find_arg(tokens, key);
+Num parse_id(const std::vector<std::string_view>& tokens,
+             std::string_view key, std::uint64_t* out) {
+  const std::optional<std::string_view> raw = find_arg(tokens, key);
   if (!raw) return Num::kAbsent;
   if (raw->empty() || raw->size() > 19) return Num::kInvalid;
   std::uint64_t v = 0;
@@ -81,20 +89,15 @@ Num parse_id(const std::vector<std::string>& tokens, const std::string& key,
 
 /// Every argument token must be `key=value` with a recognized key;
 /// returns the offending token otherwise.
-std::optional<std::string> unknown_arg(
-    const std::vector<std::string>& tokens,
+std::optional<std::string_view> unknown_arg(
+    const std::vector<std::string_view>& tokens,
     std::initializer_list<std::string_view> allowed) {
   for (std::size_t i = 1; i < tokens.size(); ++i) {
     const std::size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos || eq == 0) return tokens[i];
-    const std::string_view key(tokens[i].data(), eq);
-    bool ok = false;
-    for (const std::string_view a : allowed)
-      if (key == a) {
-        ok = true;
-        break;
-      }
-    if (!ok) return tokens[i];
+    if (eq == std::string_view::npos || eq == 0) return tokens[i];
+    const std::string_view key = tokens[i].substr(0, eq);
+    if (std::find(allowed.begin(), allowed.end(), key) == allowed.end())
+      return tokens[i];
   }
   return std::nullopt;
 }
@@ -122,14 +125,14 @@ ServeSession::ServeSession(Config config)
       front_(PartitionedAdmission::Config{config.cores, config.placement,
                                           config.admission}) {}
 
-std::string ServeSession::handle_line(const std::string& line) {
-  const std::vector<std::string> tokens = tokenize(line);
-  if (tokens.empty() || tokens[0][0] == '#') return "";
+std::string ServeSession::handle_line(std::string_view line) {
+  tokenize(line, &tokens_);
+  if (tokens_.empty() || tokens_[0][0] == '#') return "";
   // Nothing a client sends may propagate an exception to the transport
   // loop: the strict parsers below reject malformed input with `err`
   // replies, and anything that still throws is downgraded here.
   try {
-    return dispatch(tokens);
+    return dispatch(tokens_);
   } catch (const std::exception& e) {
     return std::string("err internal ") + e.what();
   } catch (...) {
@@ -137,15 +140,16 @@ std::string ServeSession::handle_line(const std::string& line) {
   }
 }
 
-std::string ServeSession::dispatch(const std::vector<std::string>& tokens) {
-  const std::string& cmd = tokens[0];
+std::string ServeSession::dispatch(const Tokens& tokens) {
+  const std::string_view cmd = tokens[0];
   if (cmd == "admit") return handle_admit(tokens);
   if (cmd == "remove") return handle_remove(tokens);
   if (cmd == "record") return handle_record(tokens);
   // The remaining requests take no arguments at all.
   if (cmd == "tick" || cmd == "stats" || cmd == "ping" || cmd == "version" ||
       cmd == "quit" || cmd == "shutdown") {
-    if (tokens.size() > 1) return "err " + cmd + " takes no arguments";
+    if (tokens.size() > 1)
+      return "err " + std::string(cmd) + " takes no arguments";
     if (cmd == "tick") return handle_tick();
     if (cmd == "stats") return handle_stats();
     if (cmd == "ping") return "ok ping";
@@ -153,30 +157,30 @@ std::string ServeSession::dispatch(const std::vector<std::string>& tokens) {
       return "ok version mcs-serve/1 cores=" + std::to_string(front_.cores()) +
              " backend=" + to_string(config_.admission.backend);
     closed_ = true;  // quit | shutdown
-    return "ok " + cmd;
+    return "ok " + std::string(cmd);
   }
-  return "err unknown request '" + cmd + "'";
+  return "err unknown request '" + std::string(cmd) + "'";
 }
 
-std::string ServeSession::handle_admit(
-    const std::vector<std::string>& tokens) {
+std::string ServeSession::handle_admit(const Tokens& tokens) {
   if (const auto bad = unknown_arg(tokens, {"name", "crit", "wcet_lo",
                                             "wcet_hi", "period", "deadline",
                                             "acet", "sigma"}))
-    return "err unknown admit argument '" + *bad + "'";
-  const std::optional<std::string> name = find_arg(tokens, "name");
-  const std::optional<std::string> crit = find_arg(tokens, "crit");
+    return "err unknown admit argument '" + std::string(*bad) + "'";
+  const std::optional<std::string_view> name_arg = find_arg(tokens, "name");
+  const std::optional<std::string_view> crit = find_arg(tokens, "crit");
   double wcet_lo = 0.0;
   double period = 0.0;
   const Num got_lo = parse_num(tokens, "wcet_lo", &wcet_lo);
   const Num got_period = parse_num(tokens, "period", &period);
   if (got_lo == Num::kInvalid) return "err invalid number for 'wcet_lo'";
   if (got_period == Num::kInvalid) return "err invalid number for 'period'";
-  if (!name || name->empty() || !crit || got_lo == Num::kAbsent ||
+  if (!name_arg || name_arg->empty() || !crit || got_lo == Num::kAbsent ||
       got_period == Num::kAbsent)
     return "err admit requires name= crit= wcet_lo= period=";
-  if (by_name_.count(*name))
-    return "err name '" + *name + "' already resident";
+  const std::string name(*name_arg);
+  if (by_name_.contains(name))
+    return "err name '" + name + "' already resident";
 
   mc::McTask task;
   if (*crit == "HC") {
@@ -184,9 +188,9 @@ std::string ServeSession::handle_admit(
     const Num got_hi = parse_num(tokens, "wcet_hi", &wcet_hi);
     if (got_hi == Num::kInvalid) return "err invalid number for 'wcet_hi'";
     if (got_hi == Num::kAbsent) return "err HC admit requires wcet_hi=";
-    task = mc::McTask::high(*name, wcet_lo, wcet_hi, period);
+    task = mc::McTask::high(name, wcet_lo, wcet_hi, period);
   } else if (*crit == "LC") {
-    task = mc::McTask::low(*name, wcet_lo, period);
+    task = mc::McTask::low(name, wcet_lo, period);
   } else {
     return "err crit must be HC or LC";
   }
@@ -206,14 +210,14 @@ std::string ServeSession::handle_admit(
   if (has_profile)
     task.stats = mc::ExecutionStats{acet, sigma, nullptr};
   if (!task.valid())
-    return "err invalid task parameters for '" + *name + "'";
+    return "err invalid task parameters for '" + name + "'";
 
   const PartitionedAdmission::Decision decision = front_.try_admit(task);
   const bool multicore = front_.cores() > 1;
   if (!decision.admitted) {
     const AdmissionVerdict& v = decision.verdict;
     std::string response =
-        "reject admit " + *name + " vd=" + (v.vd.schedulable ? "ok" : "fail") +
+        "reject admit " + name + " vd=" + (v.vd.schedulable ? "ok" : "fail") +
         " dbf=" + (v.dbf_schedulable
                        ? "ok"
                        : (v.dbf_inconclusive ? "inconclusive" : "fail")) +
@@ -222,7 +226,7 @@ std::string ServeSession::handle_admit(
     return response;
   }
   Entry entry;
-  entry.name = *name;
+  entry.name = name;
   if (task.criticality == mc::Criticality::kHigh && has_profile &&
       acet > 0.0 && sigma >= 0.0) {
     // Seed the drift monitor with the admitted envelope; n is the Eq. 6
@@ -233,10 +237,10 @@ std::string ServeSession::handle_admit(
         std::vector<MonitoredTask>{{acet, sigma, wcet_lo, entry.n_design}},
         config_.moment_tolerance, config_.min_jobs);
   }
-  by_name_[*name] = decision.id;
+  by_name_[name] = decision.id;
   entries_[decision.id] = std::move(entry);
   std::string response =
-      "ok admit " + *name + " id=" + std::to_string(decision.id);
+      "ok admit " + name + " id=" + std::to_string(decision.id);
   if (multicore) response += " core=" + std::to_string(decision.core);
   response += " x=" + format_g(decision.verdict.vd.x);
   if (decision.verdict.demand_admitted)
@@ -245,54 +249,56 @@ std::string ServeSession::handle_admit(
          " resident=" + std::to_string(front_.resident_count());
 }
 
-std::uint64_t ServeSession::resolve_id(const std::vector<std::string>& tokens,
-                                       std::string* error) const {
-  if (const std::optional<std::string> name = find_arg(tokens, "name")) {
-    const auto it = by_name_.find(*name);
+ServeSession::Entries::iterator ServeSession::resolve(const Tokens& tokens,
+                                                      std::string* error) {
+  if (const std::optional<std::string_view> name = find_arg(tokens, "name")) {
+    const auto it = by_name_.find(std::string(*name));
     if (it == by_name_.end()) {
-      *error = "err unknown task '" + *name + "'";
-      return 0;
+      *error = "err unknown task '" + std::string(*name) + "'";
+      return entries_.end();
     }
-    return it->second;
+    return entries_.find(it->second);
   }
   std::uint64_t id = 0;
   switch (parse_id(tokens, "id", &id)) {
-    case Num::kOk:
-      if (entries_.count(id)) return id;
-      *error = "err unknown id " + std::to_string(id);
-      return 0;
+    case Num::kOk: {
+      const auto it = entries_.find(id);
+      if (it == entries_.end())
+        *error = "err unknown id " + std::to_string(id);
+      return it;
+    }
     case Num::kInvalid:
-      *error = "err invalid id '" + find_arg(tokens, "id").value_or("") + "'";
-      return 0;
+      *error = "err invalid id '" +
+               std::string(find_arg(tokens, "id").value_or("")) + "'";
+      return entries_.end();
     case Num::kAbsent:
       break;
   }
   *error = "err request needs a valid name= or id=";
-  return 0;
+  return entries_.end();
 }
 
-std::string ServeSession::handle_remove(
-    const std::vector<std::string>& tokens) {
+std::string ServeSession::handle_remove(const Tokens& tokens) {
   if (const auto bad = unknown_arg(tokens, {"name", "id"}))
-    return "err unknown remove argument '" + *bad + "'";
+    return "err unknown remove argument '" + std::string(*bad) + "'";
   std::string error;
-  const std::uint64_t id = resolve_id(tokens, &error);
-  if (id == 0) return error;
-  const std::string name = entries_[id].name;
+  const auto it = resolve(tokens, &error);
+  if (it == entries_.end()) return error;
+  const std::uint64_t id = it->first;
+  const std::string name = it->second.name;
   front_.remove(id);
   by_name_.erase(name);
-  entries_.erase(id);
+  entries_.erase(it);
   return "ok remove " + name + " id=" + std::to_string(id) +
          " resident=" + std::to_string(front_.resident_count());
 }
 
-std::string ServeSession::handle_record(
-    const std::vector<std::string>& tokens) {
+std::string ServeSession::handle_record(const Tokens& tokens) {
   if (const auto bad = unknown_arg(tokens, {"name", "id", "time"}))
-    return "err unknown record argument '" + *bad + "'";
+    return "err unknown record argument '" + std::string(*bad) + "'";
   std::string error;
-  const std::uint64_t id = resolve_id(tokens, &error);
-  if (id == 0) return error;
+  const auto it = resolve(tokens, &error);
+  if (it == entries_.end()) return error;
   double time = 0.0;
   switch (parse_num(tokens, "time", &time)) {
     case Num::kInvalid: return "err invalid number for 'time'";
@@ -300,7 +306,7 @@ std::string ServeSession::handle_record(
     case Num::kOk: break;
   }
   if (time < 0.0) return "err time must be >= 0";
-  Entry& entry = entries_[id];
+  Entry& entry = it->second;
   if (!entry.monitor)
     return "err task '" + entry.name + "' is not monitored";
   entry.monitor->record(0, time);

@@ -21,6 +21,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -28,6 +29,13 @@
 #include "core/partitioned_admission.hpp"
 
 namespace mcs::core {
+
+/// Request whitespace: the C locale's isspace bytes (nothing in the
+/// program calls setlocale). Separates tokens and trims lifecycle lines.
+[[nodiscard]] constexpr bool is_request_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
 
 /// One request-per-line service over the admission front, used by
 /// `mcs-cli serve` (script/stdin and --listen modes) and exercised
@@ -69,8 +77,9 @@ class ServeSession {
   explicit ServeSession(Config config);
 
   /// Handles one request line; returns the response text without a
-  /// trailing newline ("" for silent lines). Never throws.
-  std::string handle_line(const std::string& line);
+  /// trailing newline ("" for silent lines). Never throws. A valid
+  /// `record id=` allocates nothing: tokens are views into `line`.
+  std::string handle_line(std::string_view line);
 
   /// True once a `quit` or `shutdown` request was processed.
   [[nodiscard]] bool closed() const { return closed_; }
@@ -89,21 +98,28 @@ class ServeSession {
     double n_design = 0.0;  ///< multiplier implied by the admitted C^LO
   };
 
-  std::string dispatch(const std::vector<std::string>& tokens);
-  std::string handle_admit(const std::vector<std::string>& tokens);
-  std::string handle_remove(const std::vector<std::string>& tokens);
-  std::string handle_record(const std::vector<std::string>& tokens);
+  /// Whitespace-separated tokens of the current line (views into it).
+  using Tokens = std::vector<std::string_view>;
+  using Entries = std::map<std::uint64_t, Entry>;
+
+  std::string dispatch(const Tokens& tokens);
+  std::string handle_admit(const Tokens& tokens);
+  std::string handle_remove(const Tokens& tokens);
+  std::string handle_record(const Tokens& tokens);
   std::string handle_tick();
   [[nodiscard]] std::string handle_stats() const;
-  /// Resolves a `name=` or `id=` argument to a resident id; returns 0 and
-  /// sets *error on failure.
-  [[nodiscard]] std::uint64_t resolve_id(
-      const std::vector<std::string>& tokens, std::string* error) const;
+  /// Resolves a `name=` or `id=` argument to its resident entry; returns
+  /// entries_.end() and sets *error on failure.
+  [[nodiscard]] Entries::iterator resolve(const Tokens& tokens,
+                                          std::string* error);
 
   Config config_;
   PartitionedAdmission front_;
-  std::map<std::uint64_t, Entry> entries_;  ///< id order == admission order
+  Entries entries_;  ///< id order == admission order
   std::unordered_map<std::string, std::uint64_t> by_name_;
+  /// The current line's tokens, reused by every handle_line call. The
+  /// views are only read during the call that made them.
+  Tokens tokens_;
   bool closed_ = false;
 };
 

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 
 #include "common/net.hpp"
 #include "core/serve.hpp"
@@ -32,7 +33,7 @@ class NetServeFront {
   /// LineServer::Handler: one request line -> outcome (reply text plus
   /// connection/server lifecycle flags).
   common::net::LineOutcome on_line(std::uint64_t conn_id,
-                                   const std::string& line);
+                                   std::string_view line);
 
   [[nodiscard]] std::uint64_t lines_handled() const { return lines_; }
 

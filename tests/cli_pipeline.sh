@@ -175,6 +175,20 @@ grep -v "^quit$" "$WORKDIR/churn.txt" > "$WORKDIR/churn_net.txt"
 # The client appends the terminating quit itself; the transcript must
 # equal the script replay byte for byte.
 cmp "$WORKDIR/serve_j1.txt" "$WORKDIR/client1.txt"
+# A long script: 2M pings earn 16 MB of replies, far past the server's
+# 1 MiB cap on unread replies plus the socket buffers. The server stops
+# reading a connection at that cap, so the client must read replies
+# while it still writes; one that writes everything first waits forever
+# (the timeout turns that into a failure).
+awk 'BEGIN { for (i = 0; i < 2000000; i++) print "ping" }' \
+  > "$WORKDIR/pings.txt"
+awk 'BEGIN { for (i = 0; i < 2000000; i++) print "ok ping"; print "ok quit" }' \
+  > "$WORKDIR/pings_expected.txt"
+timeout 120 "$CLI" client --connect=127.0.0.1:"$PORT" \
+  --script="$WORKDIR/pings.txt" > "$WORKDIR/pings_out.txt"
+cmp "$WORKDIR/pings_expected.txt" "$WORKDIR/pings_out.txt"
+rm -f "$WORKDIR/pings.txt" "$WORKDIR/pings_expected.txt" \
+  "$WORKDIR/pings_out.txt"
 # Second session over the SAME server: the resident set persisted.
 printf 'stats\nshutdown\n' | "$CLI" client --connect=127.0.0.1:"$PORT" \
   > "$WORKDIR/client2.txt"

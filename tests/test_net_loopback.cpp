@@ -20,6 +20,8 @@
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 
@@ -74,6 +76,72 @@ TEST(LineBuffer, OverflowsOnUnterminatedTailBeyondBound) {
     EXPECT_EQ(line, "12345");
   }
   EXPECT_FALSE(ok.overflowed());
+}
+
+TEST(LineBuffer, ConsumedBytesDoNotCountTowardTheBound) {
+  // next() only advances a read cursor; what it already returned must not
+  // count toward max_line when more input arrives.
+  common::net::LineBuffer buf(8);
+  std::string line;
+  ASSERT_TRUE(buf.feed("1234567\n12345", 13));
+  ASSERT_TRUE(buf.next(&line));
+  EXPECT_EQ(line, "1234567");
+  EXPECT_FALSE(buf.next(&line));
+  EXPECT_TRUE(buf.feed("678", 3));  // unconsumed: exactly the bound
+  EXPECT_FALSE(buf.next(&line));
+  EXPECT_FALSE(buf.overflowed());
+  ASSERT_TRUE(buf.feed("\n", 1));
+  ASSERT_TRUE(buf.next(&line));
+  EXPECT_EQ(line, "12345678");
+}
+
+TEST(LineBuffer, LongTailAfterConsumedLinesStillOverflows) {
+  // The newlines of consumed lines must not hide an overlong tail, whether
+  // the tail arrives in a later feed or in the same one.
+  common::net::LineBuffer later(8);
+  std::string line;
+  ASSERT_TRUE(later.feed("ab\ncd\n", 6));
+  ASSERT_TRUE(later.next(&line));
+  ASSERT_TRUE(later.next(&line));
+  EXPECT_EQ(line, "cd");
+  EXPECT_FALSE(later.feed("123456789", 9));
+  EXPECT_TRUE(later.overflowed());
+  EXPECT_FALSE(later.next(&line));
+
+  common::net::LineBuffer same(8);
+  ASSERT_TRUE(same.feed("ab\n123456789", 12));
+  ASSERT_TRUE(same.next(&line));
+  EXPECT_EQ(line, "ab");
+  EXPECT_FALSE(same.next(&line));
+  EXPECT_TRUE(same.overflowed());
+}
+
+TEST(LineBuffer, StripsCrlfAtTheCursor) {
+  common::net::LineBuffer buf;
+  std::string line;
+  ASSERT_TRUE(buf.feed("x\r\n\r\ny\r", 7));
+  ASSERT_TRUE(buf.next(&line));
+  EXPECT_EQ(line, "x");
+  ASSERT_TRUE(buf.next(&line));  // an empty CRLF line right at the cursor
+  EXPECT_EQ(line, "");
+  EXPECT_FALSE(buf.next(&line));
+  ASSERT_TRUE(buf.feed("\n", 1));  // the '\r' came in the previous feed
+  ASSERT_TRUE(buf.next(&line));
+  EXPECT_EQ(line, "y");
+}
+
+TEST(LineBuffer, TailHoldsOnlyUnconsumedBytes) {
+  common::net::LineBuffer buf;
+  std::string line;
+  ASSERT_TRUE(buf.feed("one\ntwo\nthr", 11));
+  EXPECT_EQ(buf.tail(), "one\ntwo\nthr");
+  ASSERT_TRUE(buf.next(&line));
+  EXPECT_EQ(buf.tail(), "two\nthr");
+  ASSERT_TRUE(buf.next(&line));
+  EXPECT_EQ(buf.tail(), "thr");
+  EXPECT_FALSE(buf.next(&line));
+  ASSERT_TRUE(buf.feed("ee", 2));
+  EXPECT_EQ(buf.tail(), "three");
 }
 
 // ---------------------------------------------------------------------------
@@ -242,8 +310,9 @@ TEST(NetLoopback, ConcurrentSoakKeepsPerConnectionFifo) {
       for (int round = 0; round < kRounds; ++round) {
         // Tiny utilization so every admit succeeds regardless of the
         // other clients; distinct names avoid cross-client clashes.
-        const std::string name =
-            "c" + std::to_string(c) + "_r" + std::to_string(round);
+        std::string name = "c";  // not "c" + ...: GCC 12 -Wrestrict
+        name += std::to_string(c);  // false positive
+        name += "_r" + std::to_string(round);
         client.send_line("admit name=" + name +
                          " crit=LC wcet_lo=0.001 period=100");
         client.send_line("ping");
@@ -398,6 +467,75 @@ TEST(NetLoopback, AbruptClientResetDoesNotKillTheServer) {
   LineClient next(harness.port());
   next.send_line("ping");
   EXPECT_EQ(next.recv_line(), "ok ping");
+}
+
+TEST(NetLoopback, NonReadingClientIsThrottledNotBuffered) {
+  // A client pipelines pings but never reads a reply. Once more than
+  // 1 MiB of replies wait for it, the server stops reading that
+  // connection, so the client's writes stall in the socket buffers
+  // instead of the server queueing replies without bound. Without the
+  // cap the server read and answered every ping, and the client wrote its
+  // whole budget.
+  //
+  // The client's own socket buffers are pinned small, so what it gets
+  // out before the stall is the server's backlog: the cap's 1 MiB of
+  // replies and the server's auto-tuned send buffer, at 5 request bytes
+  // per 8-byte reply, plus the requests in the server's receive buffer.
+  // On a host with a 4 MiB tcp_wmem maximum that came to 3.5 MB, with the
+  // send buffer at that maximum; the budget leaves room for maxima
+  // several times larger.
+  ServeHarness harness;
+  const int fd = common::net::connect_tcp("127.0.0.1", harness.port());
+  const int small = 64 << 10;
+  (void)::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &small, sizeof small);
+  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &small, sizeof small);
+  (void)::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
+  std::string chunk;
+  for (int i = 0; i < 4096; ++i) chunk += "ping\n";
+  constexpr std::size_t kBudget = std::size_t{32} << 20;
+  std::size_t written = 0;
+  bool stalled = false;
+  while (written < kBudget && !stalled) {
+    const std::size_t at = written % chunk.size();
+    const long w =
+        common::net::write_retry(fd, chunk.data() + at, chunk.size() - at);
+    if (w > 0) {
+      written += static_cast<std::size_t>(w);
+      continue;
+    }
+    ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << errno;
+    pollfd pfd{fd, POLLOUT, 0};
+    stalled = common::net::poll_retry(&pfd, 1, 1000) == 0;
+  }
+  const std::size_t pings = written / 5;  // a partial last ping is no request
+  EXPECT_TRUE(stalled) << written << " request bytes accepted";
+  EXPECT_LT(harness.server().stats().lines, pings);
+
+  // The loop itself is not blocked: another client is served meanwhile.
+  LineClient other(harness.port());
+  other.send_line("ping");
+  EXPECT_EQ(other.recv_line(), "ok ping");
+
+  // Reading the replies resumes the stalled connection: every complete
+  // ping is answered, in order.
+  common::net::LineBuffer replies;
+  std::string line;
+  std::size_t answered = 0;
+  std::vector<char> buf(1 << 16);
+  while (answered < pings) {
+    pollfd pfd{fd, POLLIN, 0};
+    ASSERT_GT(common::net::poll_retry(&pfd, 1, 10000), 0)
+        << answered << " of " << pings << " pings answered";
+    const long r = common::net::read_retry(fd, buf.data(), buf.size());
+    ASSERT_GT(r, 0) << answered << " of " << pings << " pings answered";
+    replies.feed(buf.data(), static_cast<std::size_t>(r));
+    while (replies.next(&line)) {
+      if (line != "ok ping") FAIL() << "reply " << answered << ": " << line;
+      ++answered;
+    }
+  }
+  EXPECT_EQ(answered, pings);
+  common::net::close_retry(fd);
 }
 
 TEST(NetLoopback, StopFromAnotherThreadUnblocksRun) {

@@ -10,8 +10,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace mcs::core {
 namespace {
@@ -46,6 +55,108 @@ TEST(ServeProtocol, NanInfAndOutOfRangeAreRejected) {
   EXPECT_EQ(session.handle_line("admit name=a crit=LC wcet_lo= period=10"),
             "err invalid number for 'wcet_lo'");
   EXPECT_EQ(session.handle_line("stats").substr(0, 16), "stats resident=0");
+}
+
+/// The reference numeric rule (docs/serve_protocol.md, "Numeric
+/// strictness"): what strtod accepts in the C locale, with the whole value
+/// consumed, no ERANGE (overflow, or an inexact result below the smallest
+/// normal double) and a finite result.
+std::optional<double> strtod_rule(const std::string& value) {
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(value.c_str(), &end);
+  if (end == value.c_str() || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(v))
+    return std::nullopt;
+  return v;
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+/// Random decimal spellings, valid and invalid alike: an optional sign,
+/// integer digits, an optional point with fraction digits (up to 24, past
+/// double precision) and an optional exponent of up to three digits.
+std::string random_decimal(common::Rng& rng) {
+  std::string s;
+  const auto digits = [&](std::uint64_t max) {
+    for (std::uint64_t n = rng.uniform_u64(0, max); n > 0; --n)
+      s += static_cast<char>('0' + rng.uniform_u64(0, 9));
+  };
+  if (rng.bernoulli(0.15)) s += '-';
+  if (rng.bernoulli(0.05)) s += '+';
+  digits(6);
+  if (rng.bernoulli(0.7)) {
+    s += '.';
+    digits(24);
+  }
+  if (rng.bernoulli(0.4)) {
+    s += rng.bernoulli(0.5) ? 'e' : 'E';
+    if (rng.bernoulli(0.5)) s += rng.bernoulli(0.5) ? '-' : '+';
+    digits(3);
+  }
+  return s;
+}
+
+TEST(ServeProtocol, NumbersFollowTheStrtodRule) {
+  // Where from_chars and strtod disagree (a leading '+', hex floats,
+  // subnormals, exact or not), edge cases where they agree, and seeded
+  // random spellings (including the 17-digit round-trip form of random
+  // doubles): each reply, and each admitted C^LO bit for bit, must follow
+  // strtod.
+  std::vector<std::string> tokens = {
+      "+1.5", "0x1p3", "0X1P-2", "0x1p-1074", "0x1p-1075", "1e-310",
+      "4.9e-324", "2.2250738585072011e-308", "2.2250738585072014e-308",
+      "1e-400", "1e309", "-0", "0", "0e-400", ".5", "5.", "1,5", "1.5e",
+      ".", "-", "inf", "INF", "infinity", "nan", "nan(1)"};
+  common::Rng rng(20240125);
+  char buf[64];
+  for (int i = 0; i < 1500; ++i) {
+    tokens.push_back(random_decimal(rng));
+    std::snprintf(buf, sizeof buf, "%.17g", rng.uniform(1e-3, 1e5));
+    tokens.push_back(buf);
+  }
+  std::size_t values_checked = 0;
+  for (const std::string& tok : tokens) {
+    const std::optional<double> ref = strtod_rule(tok);
+    const std::string admit =
+        "admit name=t crit=LC wcet_lo=" + tok + " period=1e6";
+    ServeSession session;
+    const std::string reply = session.handle_line(admit);
+    if (!ref) {
+      EXPECT_EQ(reply, "err invalid number for 'wcet_lo'") << admit;
+    } else {
+      // Same reply as the exact hexfloat spelling of the reference value,
+      // and an admitted task carries exactly that value.
+      std::snprintf(buf, sizeof buf, "%a", *ref);
+      ServeSession exact;
+      EXPECT_EQ(reply, exact.handle_line(std::string(
+                           "admit name=t crit=LC wcet_lo=") + buf +
+                           " period=1e6"))
+          << admit;
+      if (const mc::McTask* task = session.front().find(1)) {
+        EXPECT_EQ(bits_of(task->wcet_lo), bits_of(*ref)) << admit;
+        ++values_checked;
+      }
+    }
+
+    ServeSession monitored;
+    ASSERT_EQ(monitored
+                  .handle_line("admit name=h crit=HC wcet_lo=2 wcet_hi=4 "
+                               "period=20 acet=1.5 sigma=0.3")
+                  .substr(0, 10),
+              "ok admit h");
+    const std::string record = "record id=1 time=" + tok;
+    const std::string expected = !ref          ? "err invalid number for 'time'"
+                                 : *ref < 0.0 ? "err time must be >= 0"
+                                              : "";
+    EXPECT_EQ(monitored.handle_line(record), expected) << record;
+  }
+  // Most random spellings are valid and admissible: the bit check ran.
+  EXPECT_GT(values_checked, tokens.size() / 2);
 }
 
 TEST(ServeProtocol, MissingAndUnknownArguments) {

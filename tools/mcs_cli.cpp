@@ -9,6 +9,7 @@
 // design flow (generate -> optimize -> analyze -> simulate) can be
 // scripted through pipes and files.
 #include <atomic>
+#include <cerrno>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -17,6 +18,8 @@
 #include <iostream>
 #include <string>
 
+#include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
 
 #include "apps/measurement.hpp"
@@ -877,34 +880,47 @@ int cmd_client(int argc, const char* const* argv) {
     std::fprintf(stderr, "client: %s\n", e.what());
     return 1;
   }
-  // Push every request, then drain replies until the server closes the
-  // connection (the trailing quit guarantees it does). The server reads
-  // unconditionally — its reply queue is unbounded in memory — so a
-  // blocking write-all/read-all pump cannot wedge.
+  // Write requests and read replies at once, until the server closes the
+  // connection (the trailing quit guarantees it does). Writing the whole
+  // script before reading would wedge on long scripts: the server stops
+  // reading a connection whose unread replies pass its cap
+  // (common/net.hpp), and this client would block on its own writes.
+  (void)::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
   std::size_t sent = 0;
-  while (sent < outgoing.size()) {
-    const long w = common::net::write_retry(fd, outgoing.data() + sent,
-                                            outgoing.size() - sent);
-    if (w < 0) {
-      std::fputs("client: write failed\n", stderr);
-      common::net::close_retry(fd);
-      return 1;
-    }
-    sent += static_cast<std::size_t>(w);
-  }
-  (void)::shutdown(fd, SHUT_WR);
-  char buf[4096];
+  char buf[1 << 16];
+  const char* failure = nullptr;  // the syscall that failed, if any
   for (;;) {
-    const long r = common::net::read_retry(fd, buf, sizeof buf);
-    if (r < 0) {
-      std::fputs("client: read failed\n", stderr);
-      common::net::close_retry(fd);
-      return 1;
+    const bool sending = sent < outgoing.size();
+    pollfd pfd{fd, static_cast<short>(POLLIN | (sending ? POLLOUT : 0)), 0};
+    if (common::net::poll_retry(&pfd, 1, -1) < 0) {
+      failure = "poll";
+      break;
     }
-    if (r == 0) break;
-    std::fwrite(buf, 1, static_cast<std::size_t>(r), stdout);
+    if (sending && (pfd.revents & POLLOUT)) {
+      const long w = common::net::write_retry(fd, outgoing.data() + sent,
+                                              outgoing.size() - sent);
+      if (w < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
+        failure = "write";
+        break;
+      }
+      if (w > 0) sent += static_cast<std::size_t>(w);
+      if (sent == outgoing.size()) (void)::shutdown(fd, SHUT_WR);
+    }
+    if (pfd.revents & (POLLIN | POLLHUP | POLLERR)) {
+      const long r = common::net::read_retry(fd, buf, sizeof buf);
+      if (r == 0) break;
+      if (r < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
+        failure = "read";
+        break;
+      }
+      if (r > 0) std::fwrite(buf, 1, static_cast<std::size_t>(r), stdout);
+    }
   }
   common::net::close_retry(fd);
+  if (failure != nullptr) {
+    std::fprintf(stderr, "client: %s failed\n", failure);
+    return 1;
+  }
   return 0;
 }
 
