@@ -4,10 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <stdexcept>
+#include <vector>
 
+#include "common/rng.hpp"
+#include "common/thread_pool.hpp"
+#include "core/chebyshev_wcet.hpp"
 #include "sched/edf_vd.hpp"
 #include "stats/distributions.hpp"
+#include "taskgen/generator.hpp"
 
 namespace mcs::sim {
 namespace {
@@ -542,6 +548,161 @@ TEST(Sim, Validation) {
   config.x = 1.0;
   tasks.add(mc::McTask::low("bad", 0.0, 100.0));
   EXPECT_THROW((void)simulate(tasks, config), std::invalid_argument);
+}
+
+// Golden: every output bit of the engine. FNV-1a over every SimMetrics
+// field (per_task and the reservoir percentiles included) and every field
+// of every in-memory trace event, with dispatch tracing on, for generated
+// sets of both design-flow families (the paper's task sizes and many small
+// tasks) at U 0.6-3.0 under a fixed Chebyshev assignment. Overloaded sets
+// simulated at x = 1 miss at D = T, exactly at their task's next release.
+// The configurations cover the three LC policies, jitter 0 and 0.5, both
+// back-switch rules, context- and mode-switch overheads, constrained
+// deadlines, virtual deadlines and the response reservoir. Any change to
+// the event core that moves one bit or one event flips the digest.
+constexpr std::uint64_t kGoldenSimOutputs = 0x79a6ac6f2d396299ULL;
+
+class Fnv {
+ public:
+  void mix(std::uint64_t v) {
+    hash_ ^= v;
+    hash_ *= 0x100000001b3ULL;
+  }
+  void mix(double x) {
+    std::uint64_t u = 0;
+    std::memcpy(&u, &x, sizeof u);
+    mix(u);
+  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+void mix_result(const SimResult& r, Fnv& fnv) {
+  const SimMetrics& m = r.metrics;
+  for (const double v : {m.horizon, m.busy_time, m.hi_mode_time,
+                         m.overhead_time})
+    fnv.mix(v);
+  for (const std::uint64_t v :
+       {m.hc_jobs_released, m.hc_jobs_completed, m.hc_jobs_overrun,
+        m.hc_deadline_misses, m.lc_jobs_released, m.lc_jobs_completed,
+        m.lc_jobs_dropped, m.lc_jobs_degraded, m.lc_deadline_misses,
+        m.mode_switches, m.context_switches})
+    fnv.mix(v);
+  for (const TaskSimStats& ts : m.per_task) {
+    for (const std::uint64_t v : {ts.released, ts.completed, ts.dropped,
+                                  ts.deadline_misses, ts.pending_at_horizon})
+      fnv.mix(v);
+    for (const double v : {ts.max_response, ts.total_response,
+                           ts.p95_response, ts.p99_response})
+      fnv.mix(v);
+  }
+  fnv.mix(static_cast<std::uint64_t>(r.trace.total_recorded()));
+  for (const TraceEvent& e : r.trace.events()) {
+    fnv.mix(e.time);
+    fnv.mix(static_cast<std::uint64_t>(e.kind));
+    fnv.mix(static_cast<std::uint64_t>(e.task));
+    fnv.mix(static_cast<std::uint64_t>(e.hi_mode));
+    fnv.mix(static_cast<std::uint64_t>(e.virtual_deadline));
+    fnv.mix(e.release);
+    fnv.mix(e.value);
+  }
+}
+
+std::vector<mc::TaskSet> golden_sets() {
+  struct Family {
+    double task_util_min;
+    double task_util_max;
+    double gap_min;
+    double gap_max;
+  };
+  // The design-flow families draw WCET^pes/ACET gaps of 8-64, so even
+  // U = 3 sets are lightly loaded in practice and miss only behind the
+  // budget server; the third family's gaps of 1.5-3 overload the
+  // processor, so jobs expire under every policy.
+  constexpr Family kFamilies[] = {
+      {0.05, 0.25, 8.0, 64.0}, {0.02, 0.05, 8.0, 64.0}, {0.05, 0.25, 1.5, 3.0}};
+  constexpr double kUBounds[] = {0.6, 1.2, 1.8, 2.4, 3.0};
+  std::vector<mc::TaskSet> sets;
+  std::uint64_t index = 0;
+  for (const Family& family : kFamilies) {
+    taskgen::GeneratorConfig gen;
+    gen.task_util_min = family.task_util_min;
+    gen.task_util_max = family.task_util_max;
+    gen.gap_min = family.gap_min;
+    gen.gap_max = family.gap_max;
+    for (const double u : kUBounds) {
+      common::Rng rng(common::index_seed(2026, index++));
+      mc::TaskSet tasks;
+      do {
+        tasks = taskgen::generate_mixed(gen, u, rng);
+      } while (tasks.count(mc::Criticality::kHigh) == 0);
+      const std::vector<double> n(tasks.count(mc::Criticality::kHigh),
+                                  index % 2 == 0 ? 1.0 : 2.5);
+      (void)core::apply_chebyshev_assignment(tasks, n);
+      sets.push_back(std::move(tasks));
+    }
+  }
+  return sets;
+}
+
+std::vector<SimConfig> golden_configs() {
+  SimConfig base;
+  base.horizon = 20000.0;
+  base.trace_capacity = std::size_t{1} << 22;
+  base.trace_dispatch = true;
+  std::vector<SimConfig> configs;
+  for (const LcPolicy policy :
+       {LcPolicy::kDropAll, LcPolicy::kDegradeHalf, LcPolicy::kServer}) {
+    SimConfig c = base;
+    c.lc_policy = policy;
+    for (const double jitter : {0.0, 0.5}) {
+      for (const BackSwitchPolicy back :
+           {BackSwitchPolicy::kNoReadyHc, BackSwitchPolicy::kIdleInstant}) {
+        c.release_jitter = jitter;
+        c.back_switch = back;
+        configs.push_back(c);
+      }
+    }
+    c.release_jitter = 0.0;
+    c.back_switch = BackSwitchPolicy::kNoReadyHc;
+    SimConfig overheads = c;
+    overheads.context_switch_ms = 0.05;
+    overheads.mode_switch_ms = 0.5;
+    configs.push_back(overheads);
+    SimConfig reservoir = c;
+    reservoir.response_reservoir = 16;
+    configs.push_back(reservoir);
+    SimConfig virtual_deadlines = c;
+    virtual_deadlines.x = 0.7;
+    configs.push_back(virtual_deadlines);
+  }
+  return configs;
+}
+
+/// The same set with every relative deadline at 0.8 of its period.
+mc::TaskSet constrained(const mc::TaskSet& tasks) {
+  mc::TaskSet out;
+  for (const mc::McTask& task : tasks)
+    out.add(task.with_deadline(0.8 * task.period));
+  return out;
+}
+
+TEST(SimGolden, MetricsAndTraceEventsArePinned) {
+  const std::vector<mc::TaskSet> sets = golden_sets();
+  Fnv fnv;
+  for (const SimConfig& base : golden_configs()) {
+    for (std::size_t s = 0; s < sets.size(); ++s) {
+      SimConfig config = base;
+      config.seed = common::index_seed(7, s);
+      mix_result(simulate(sets[s], config), fnv);
+      if (config.x == 1.0 && config.release_jitter == 0.0)
+        mix_result(simulate(constrained(sets[s]), config), fnv);
+    }
+  }
+  EXPECT_EQ(fnv.value(), kGoldenSimOutputs)
+      << std::hex << "0x" << fnv.value();
 }
 
 }  // namespace
