@@ -42,9 +42,10 @@ std::optional<std::string_view> find_arg(
 enum class Num { kAbsent, kInvalid, kOk };
 
 /// Strictly parses `key=<double>`: strtod's C-locale grammar, the whole
-/// value consumed, no ERANGE (overflow, or an inexact result below the
-/// smallest normal double) and a finite result — "nan", "inf", "1e999",
-/// "1e-310", "3.5x" and "" are all kInvalid, never a silent 0.0.
+/// value consumed (a NUL byte inside it included), no ERANGE (overflow, or
+/// an inexact result below the smallest normal double) and a finite
+/// result — "nan", "inf", "1e999", "1e-310", "3.5x", "1\0zz" and "" are
+/// all kInvalid, never a silent 0.0.
 /// std::from_chars reads a subset of that grammar with the same rounding,
 /// so its value is taken when it consumes the whole value with a normal
 /// result; everything else (a leading '+', hex floats, zero, subnormals,
@@ -60,12 +61,14 @@ Num parse_num(const std::vector<std::string_view>& tokens,
     *out = v;
     return Num::kOk;
   }
-  const std::string value(*raw);  // strtod reads up to the first NUL
+  // strtod stops at a NUL byte, so a NUL inside the value leaves `end`
+  // short of the value's end and the value is invalid.
+  const std::string value(*raw);
   errno = 0;
   char* end = nullptr;
   v = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0' || errno == ERANGE ||
-      !std::isfinite(v))
+  if (end == value.c_str() || end != value.c_str() + value.size() ||
+      errno == ERANGE || !std::isfinite(v))
     return Num::kInvalid;
   *out = v;
   return Num::kOk;

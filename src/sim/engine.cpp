@@ -28,7 +28,6 @@ struct Job {
   common::Millis exec_done = 0.0;
   common::Millis budget = 0.0;            ///< allowed execution (C^LO/C^HI)
   bool hc = false;
-  bool overran = false;  ///< already counted as a C^LO overrun
   bool degraded = false; ///< running under a degraded LC budget
   bool live = false;     ///< slot currently holds a pending job
 };
@@ -38,6 +37,18 @@ struct Job {
 struct JobRef {
   std::uint32_t slot = 0;
   std::uint64_t seq = 0;
+};
+
+/// The seq of no job: marks an empty deferred-expiry slot.
+constexpr std::uint64_t kNoJob = std::numeric_limits<std::uint64_t>::max();
+
+/// Release-heap entry, keyed on time alone: tasks due at one instant are
+/// released in task-index order, whatever order the heap yields them in.
+struct Release {
+  common::Millis time = 0.0;
+  std::uint32_t task = 0;
+
+  bool operator<(const Release& other) const { return time < other.time; }
 };
 
 /// Draws one job's actual execution demand for `task`.
@@ -57,17 +68,28 @@ common::Millis draw_execution_time(const mc::McTask& task,
 
 }  // namespace
 
-// The ready set is indexed, not scanned: per-class EventQueue min-heaps
-// keyed on the dispatch (effective) deadline give the EDF pick in O(log n),
-// a deadline heap over every pending job gives expiry processing and the
-// step bound in O(log n), and a per-task next-release heap replaces the
-// all-tasks release rescan. Heap removal is lazy — a popped JobRef whose
-// (slot, seq) no longer matches a live arena job is a stale entry of a
-// completed/dropped job and is discarded. Everything remains bit-identical
-// to the historical linear-scan engine: ties resolve by release order
-// (seq), releases are processed in task-index order so the shared RNG
-// stream is consumed in the historical order, and mode-switch sweeps walk
-// jobs in release order.
+// The ready set is indexed, not scanned, and a job costs one release-heap
+// sift, one ready push and one ready pop:
+//
+//  * Per-class EventQueue min-heaps keyed on the dispatch (effective)
+//    deadline give the EDF pick in O(log n). They hold only live jobs: a
+//    dispatched job that completes or is abandoned is the top of its heap
+//    and is popped there. Only expiry kills leave dead entries behind;
+//    they are counted per class, and the pick purges (checks liveness)
+//    only while that count is non-zero.
+//  * A deadline heap gives expiry processing and the step bound, with
+//    deferred entry: see release_task.
+//  * A per-task next-release heap keyed on time alone replaces the
+//    all-tasks release rescan. When one task is due, its next release
+//    replaces the heap top in one sift.
+//  * There is no release-order list: the rare mode-switch sweeps sort the
+//    live arena slots by seq, and the pending count at the horizon scans
+//    the arena.
+//
+// Everything remains bit-identical to the historical linear-scan engine:
+// ties resolve by release order (seq), releases are processed in
+// task-index order so the shared RNG stream is consumed in the historical
+// order, and mode-switch sweeps walk jobs in release order.
 SimResult simulate(const mc::TaskSet& tasks, const SimConfig& config) {
   if (!tasks.valid())
     throw std::invalid_argument("simulate: invalid task set");
@@ -140,23 +162,10 @@ SimResult simulate(const mc::TaskSet& tasks, const SimConfig& config) {
   std::size_t live_total = 0;
   std::size_t live_hc = 0;
   std::size_t live_lc = 0;
-  // Release-ordered list of (lazily pruned) job refs: mode-switch sweeps
-  // and the final pending scan must visit jobs in release order to
-  // reproduce the historical ready-vector iteration order.
-  std::vector<JobRef> order;
-  std::size_t order_dead = 0;
 
   auto alive = [&](const JobRef& ref) {
     const Job& job = arena[ref.slot];
     return job.live && job.seq == ref.seq;
-  };
-  auto compact_order = [&] {
-    if (order_dead < 64 || order_dead < order.size() / 2) return;
-    std::size_t keep = 0;
-    for (const JobRef& ref : order)
-      if (alive(ref)) order[keep++] = ref;
-    order.resize(keep);
-    order_dead = 0;
   };
   auto alloc_slot = [&]() -> std::uint32_t {
     if (!free_slots.empty()) {
@@ -167,22 +176,45 @@ SimResult simulate(const mc::TaskSet& tasks, const SimConfig& config) {
     arena.emplace_back();
     return static_cast<std::uint32_t>(arena.size() - 1);
   };
-  auto kill = [&](const JobRef& ref) {
-    Job& job = arena[ref.slot];
+  auto kill = [&](std::uint32_t slot) {
+    Job& job = arena[slot];
     job.live = false;
-    free_slots.push_back(ref.slot);
+    free_slots.push_back(slot);
     --live_total;
     if (job.hc) --live_hc;
     else --live_lc;
-    ++order_dead;
   };
 
   EventQueue<JobRef> hc_ready;  ///< keyed on the HC dispatch deadline
   EventQueue<JobRef> lc_ready;  ///< keyed on the LC (real) deadline
-  EventQueue<JobRef> expiry;    ///< keyed on the real deadline, every job
-  EventQueue<std::uint32_t> release_q;  ///< keyed on next_release[task]
-  auto purge = [&](EventQueue<JobRef>& queue) {
-    while (!queue.empty() && !alive(queue.peek())) queue.pop();
+  EventQueue<JobRef> expiry;    ///< keyed on the real deadline
+  EventHeap<Release> release_q;  ///< keyed on next_release[task]
+  // Ready-heap entries of jobs that expired: the only dead entries a ready
+  // heap holds.
+  std::size_t stale_hc = 0;
+  std::size_t stale_lc = 0;
+  auto purge_expiry = [&] {
+    while (!expiry.empty() && !alive(expiry.peek())) expiry.pop();
+  };
+  auto purge_ready = [&](EventQueue<JobRef>& queue, std::size_t& stale) {
+    for (; stale > 0 && !alive(queue.peek()); --stale) queue.pop();
+  };
+  // A dispatched job that completes or is abandoned is the top of its
+  // class heap: nothing is pushed between the pick and its end.
+  auto retire = [&](const JobRef& ref) {
+    (arena[ref.slot].hc ? hc_ready : lc_ready).pop();
+    kill(ref.slot);
+  };
+  // Live jobs in release order, for the mode-switch sweeps.
+  std::vector<std::uint32_t> sweep;
+  auto sweep_live_in_release_order = [&] {
+    sweep.clear();
+    for (std::uint32_t slot = 0; slot < arena.size(); ++slot)
+      if (arena[slot].live) sweep.push_back(slot);
+    std::sort(sweep.begin(), sweep.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                return arena[a].seq < arena[b].seq;
+              });
   };
 
   std::vector<common::Millis> next_release(tasks.size(), 0.0);
@@ -191,86 +223,124 @@ SimResult simulate(const mc::TaskSet& tasks, const SimConfig& config) {
   // behaviour — compounded the offsets into unbounded drift away from the
   // nominal period.)
   std::vector<common::Millis> release_grid(tasks.size(), 0.0);
-  for (std::uint32_t i = 0; i < tasks.size(); ++i) release_q.push(0.0, i);
+  for (std::uint32_t i = 0; i < tasks.size(); ++i) release_q.push({0.0, i});
+  // Per task, the last released job if its expiry entry is deferred.
+  std::vector<JobRef> deferred(tasks.size(), JobRef{0, kNoJob});
+
+  // Releases every due instance of task i. A job whose deadline is not
+  // before its task's next release enters the expiry heap only when that
+  // release is processed, and only if it is still pending then. This is
+  // exact: such a job can expire only at or after that release, and
+  // release processing precedes the expiry check at every instant, so each
+  // check sees the same expired set (sorted by seq); the step bound is
+  // unchanged because every step already stops at the next release. A
+  // next release at or past the horizon never comes, but then the deadline
+  // is past the horizon too. Implicit-deadline tasks without jitter reach
+  // the expiry heap only when they miss.
+  auto release_task = [&](std::uint32_t i) {
+    const mc::McTask& task = tasks[i];
+    const bool hc = task.criticality == mc::Criticality::kHigh;
+    while (next_release[i] <= now + kTimeEps &&
+           next_release[i] < config.horizon) {
+      if (deferred[i].seq != kNoJob) {
+        if (alive(deferred[i]))
+          expiry.push(arena[deferred[i].slot].deadline, deferred[i]);
+        deferred[i].seq = kNoJob;
+      }
+      if (hc) ++m.hc_jobs_released;
+      else ++m.lc_jobs_released;
+      ++m.per_task[i].released;
+
+      JobRef released{0, kNoJob};
+      if (!hc && mode == mc::Mode::kHigh &&
+          config.lc_policy == LcPolicy::kDropAll) {  // server/degrade admit
+        // LC releases are rejected outright while in HI mode: the job
+        // never enters the queue, so it counts as a drop only — not a
+        // deadline miss (see metrics.hpp).
+        ++m.lc_jobs_dropped;
+        ++m.per_task[i].dropped;
+        if (tracing) record_kind(now, TraceEventKind::kDropLc, i);
+      } else {
+        const std::uint32_t slot = alloc_slot();
+        Job& job = arena[slot];
+        job.task = i;
+        job.seq = next_seq++;
+        job.release = next_release[i];
+        job.deadline = job.release + task.deadline();
+        job.virtual_deadline = job.release + config.x * task.period;
+        job.exec_total = draw_execution_time(task, config, rng);
+        job.exec_done = 0.0;
+        job.budget = hc ? (mode == mc::Mode::kHigh ? task.wcet_hi
+                                                   : task.wcet_lo)
+                        : task.wcet_lo;
+        job.hc = hc;
+        job.degraded = false;
+        if (!hc && mode == mc::Mode::kHigh &&
+            config.lc_policy == LcPolicy::kDegradeHalf) {
+          job.budget = 0.5 * task.wcet_lo;
+          job.degraded = true;
+        }
+        job.live = true;
+        released = JobRef{slot, job.seq};
+        if (hc) {
+          hc_ready.push(mode == mc::Mode::kLow ? job.virtual_deadline
+                                               : job.deadline,
+                        released);
+          ++live_hc;
+        } else {
+          lc_ready.push(job.deadline, released);
+          ++live_lc;
+        }
+        ++live_total;
+        if (tracing) record_kind(now, TraceEventKind::kRelease, i);
+      }
+      release_grid[i] += task.period;
+      next_release[i] = release_grid[i];
+      if (config.release_jitter > 0.0)
+        next_release[i] +=
+            rng.uniform(0.0, config.release_jitter * task.period);
+      if (released.seq == kNoJob) continue;
+      const common::Millis deadline = arena[released.slot].deadline;
+      if (deadline < next_release[i])
+        expiry.push(deadline, released);
+      else
+        deferred[i] = released;
+    }
+  };
 
   std::vector<std::uint32_t> due;
   auto release_due_jobs = [&] {
-    if (release_q.empty() || release_q.next_time() > now + kTimeEps) return;
+    if (release_q.empty() || release_q.top().time > now + kTimeEps) return;
+    if (release_q.size() == 1 ||
+        release_q.runner_up().time > now + kTimeEps) {
+      // One task due: its next release takes the top's place in one sift.
+      const std::uint32_t i = release_q.top().task;
+      release_task(i);
+      if (next_release[i] < config.horizon)
+        release_q.replace_top({next_release[i], i});
+      else
+        release_q.pop();
+      return;
+    }
     // Collect every due task, then release in task-index order: execution
     // time draws consume the shared RNG stream, so the draw order must
     // match the historical all-tasks scan.
     due.clear();
-    while (!release_q.empty() && release_q.next_time() <= now + kTimeEps)
-      due.push_back(release_q.pop());
+    while (!release_q.empty() && release_q.top().time <= now + kTimeEps) {
+      due.push_back(release_q.top().task);
+      release_q.pop();
+    }
     std::sort(due.begin(), due.end());
     for (const std::uint32_t i : due) {
-      const mc::McTask& task = tasks[i];
-      const bool hc = task.criticality == mc::Criticality::kHigh;
-      while (next_release[i] <= now + kTimeEps &&
-             next_release[i] < config.horizon) {
-        if (hc) ++m.hc_jobs_released;
-        else ++m.lc_jobs_released;
-        ++m.per_task[i].released;
-
-        if (!hc && mode == mc::Mode::kHigh &&
-            config.lc_policy == LcPolicy::kDropAll) {  // server/degrade admit
-          // LC releases are rejected outright while in HI mode: the job
-          // never enters the queue, so it counts as a drop only — not a
-          // deadline miss (see metrics.hpp).
-          ++m.lc_jobs_dropped;
-          ++m.per_task[i].dropped;
-          if (tracing) record_kind(now, TraceEventKind::kDropLc, i);
-        } else {
-          const std::uint32_t slot = alloc_slot();
-          Job& job = arena[slot];
-          job.task = i;
-          job.seq = next_seq++;
-          job.release = next_release[i];
-          job.deadline = job.release + task.deadline();
-          job.virtual_deadline = job.release + config.x * task.period;
-          job.exec_total = draw_execution_time(task, config, rng);
-          job.exec_done = 0.0;
-          job.budget = hc ? (mode == mc::Mode::kHigh ? task.wcet_hi
-                                                     : task.wcet_lo)
-                          : task.wcet_lo;
-          job.hc = hc;
-          job.overran = false;
-          job.degraded = false;
-          if (!hc && mode == mc::Mode::kHigh &&
-              config.lc_policy == LcPolicy::kDegradeHalf) {
-            job.budget = 0.5 * task.wcet_lo;
-            job.degraded = true;
-          }
-          job.live = true;
-          const JobRef ref{slot, job.seq};
-          order.push_back(ref);
-          expiry.push(job.deadline, ref);
-          if (hc) {
-            hc_ready.push(mode == mc::Mode::kLow ? job.virtual_deadline
-                                                 : job.deadline,
-                          ref);
-            ++live_hc;
-          } else {
-            lc_ready.push(job.deadline, ref);
-            ++live_lc;
-          }
-          ++live_total;
-          if (tracing) record_kind(now, TraceEventKind::kRelease, i);
-        }
-        release_grid[i] += task.period;
-        next_release[i] = release_grid[i];
-        if (config.release_jitter > 0.0)
-          next_release[i] +=
-              rng.uniform(0.0, config.release_jitter * task.period);
-      }
+      release_task(i);
       if (next_release[i] < config.horizon)
-        release_q.push(next_release[i], i);
+        release_q.push({next_release[i], i});
     }
   };
 
   auto next_release_time = [&] {
     return release_q.empty() ? std::numeric_limits<double>::infinity()
-                             : release_q.next_time();
+                             : release_q.top().time;
   };
 
   auto switch_to_hi = [&](std::uint32_t overrun_task) {
@@ -283,9 +353,9 @@ SimResult simulate(const mc::TaskSet& tasks, const SimConfig& config) {
     // HC budgets inflate to C^HI; LC jobs are dropped, degraded to half
     // of the *remaining* budget, or left intact behind the budget server
     // — visiting jobs in release order (the historical ready order).
-    for (const JobRef& ref : order) {
-      if (!alive(ref)) continue;
-      Job& job = arena[ref.slot];
+    sweep_live_in_release_order();
+    for (const std::uint32_t slot : sweep) {
+      Job& job = arena[slot];
       if (job.hc) {
         job.budget = tasks[job.task].wcet_hi;
         continue;
@@ -294,7 +364,7 @@ SimResult simulate(const mc::TaskSet& tasks, const SimConfig& config) {
         ++m.lc_jobs_dropped;
         ++m.per_task[job.task].dropped;
         if (tracing) record_kind(now, TraceEventKind::kDropLc, job.task);
-        kill(ref);
+        kill(slot);
       } else if (config.lc_policy == LcPolicy::kDegradeHalf &&
                  !job.degraded) {
         job.budget = job.exec_done + 0.5 * (job.budget - job.exec_done);
@@ -305,13 +375,16 @@ SimResult simulate(const mc::TaskSet& tasks, const SimConfig& config) {
     }
     // HC dispatch deadlines change (virtual -> real): rebuild the HC heap
     // in release order so FIFO tie-breaking is preserved.
-    hc_ready = {};
-    for (const JobRef& ref : order) {
-      if (!alive(ref)) continue;
-      const Job& job = arena[ref.slot];
-      if (job.hc) hc_ready.push(job.deadline, ref);
+    hc_ready.clear();
+    stale_hc = 0;
+    for (const std::uint32_t slot : sweep) {
+      const Job& job = arena[slot];
+      if (job.hc) hc_ready.push(job.deadline, JobRef{slot, job.seq});
     }
-    if (config.lc_policy == LcPolicy::kDropAll) lc_ready = {};
+    if (config.lc_policy == LcPolicy::kDropAll) {
+      lc_ready.clear();
+      stale_lc = 0;
+    }
   };
 
   auto maybe_switch_to_lo = [&] {
@@ -331,9 +404,9 @@ SimResult simulate(const mc::TaskSet& tasks, const SimConfig& config) {
     // pending HC work blocks the back-switch (and under kIdleInstant the
     // ready queue is empty), so no HC job can carry a C^HI budget across.
     // LC dispatch keys are real deadlines in both modes, so no rebuild.
-    for (const JobRef& ref : order) {
-      if (!alive(ref)) continue;
-      Job& job = arena[ref.slot];
+    sweep_live_in_release_order();
+    for (const std::uint32_t slot : sweep) {
+      Job& job = arena[slot];
       if (job.hc || !job.degraded) continue;
       job.budget = tasks[job.task].wcet_lo;
       job.degraded = false;
@@ -349,18 +422,17 @@ SimResult simulate(const mc::TaskSet& tasks, const SimConfig& config) {
   release_due_jobs();
   std::vector<JobRef> expired;
   while (now < config.horizon - kTimeEps) {
-    compact_order();
     // Expire jobs whose deadline passed while pending (overload handling).
     // An expired job is a deadline miss *and* a lost job: it is removed
     // without completing, so it counts as dropped — globally for LC jobs
     // (lc_jobs_dropped feeds lc_drop_rate) and per task for both levels
     // (the released == completed + dropped + pending identity).
-    purge(expiry);
+    purge_expiry();
     if (!expiry.empty() && expiry.next_time() <= now + kTimeEps) {
       expired.clear();
       do {
         expired.push_back(expiry.pop());
-        purge(expiry);
+        purge_expiry();
       } while (!expiry.empty() && expiry.next_time() <= now + kTimeEps);
       // The heap yields (deadline, release) order; the historical scan
       // removed expired jobs in release order alone.
@@ -370,15 +442,17 @@ SimResult simulate(const mc::TaskSet& tasks, const SimConfig& config) {
         const Job& job = arena[ref.slot];
         if (job.hc) {
           ++m.hc_deadline_misses;
+          ++stale_hc;
         } else {
           ++m.lc_deadline_misses;
           ++m.lc_jobs_dropped;
+          ++stale_lc;
         }
         TaskSimStats& ts = m.per_task[job.task];
         ++ts.deadline_misses;
         ++ts.dropped;
         if (tracing) record_kind(now, TraceEventKind::kDeadlineMiss, job.task);
-        kill(ref);
+        kill(ref.slot);
       }
     }
     // Replenish the LC server at its period boundaries.
@@ -408,8 +482,8 @@ SimResult simulate(const mc::TaskSet& tasks, const SimConfig& config) {
     // (FIFO on ties); between the two class winners the historical fold
     // rule applies — the later-released candidate only wins when strictly
     // earlier by more than eps.
-    purge(hc_ready);
-    purge(lc_ready);
+    purge_ready(hc_ready, stale_hc);
+    purge_ready(lc_ready, stale_lc);
     const bool lc_blocked = server_mode && mode == mc::Mode::kHigh &&
                             server_budget <= kTimeEps;
     const bool have_hc = !hc_ready.empty();
@@ -516,12 +590,11 @@ SimResult simulate(const mc::TaskSet& tasks, const SimConfig& config) {
         if (tracing) record_kind(now, TraceEventKind::kDeadlineMiss, job.task);
       }
       if (tracing) record_kind(now, TraceEventKind::kComplete, job.task);
-      kill(current);
+      retire(current);
     } else if (job.exec_done + kTimeEps >= job.budget) {
       if (job.hc && mode == mc::Mode::kLow) {
         // C^LO exhausted but the job is not done: overrun -> HI mode.
         ++m.hc_jobs_overrun;
-        job.overran = true;
         if (tracing) record_kind(now, TraceEventKind::kOverrun, job.task);
         switch_to_hi(job.task);
       } else {
@@ -530,7 +603,7 @@ SimResult simulate(const mc::TaskSet& tasks, const SimConfig& config) {
         ++m.lc_jobs_dropped;
         ++m.per_task[job.task].dropped;
         if (tracing) record_kind(now, TraceEventKind::kDropLc, job.task);
-        kill(current);
+        retire(current);
       }
     }
     release_due_jobs();
@@ -539,8 +612,8 @@ SimResult simulate(const mc::TaskSet& tasks, const SimConfig& config) {
   if (mode == mc::Mode::kHigh) m.hi_mode_time += config.horizon - hi_since;
   // Whatever is still queued was released but neither completed nor
   // dropped — close the per-task accounting identity.
-  for (const JobRef& ref : order)
-    if (alive(ref)) ++m.per_task[arena[ref.slot].task].pending_at_horizon;
+  for (const Job& job : arena)
+    if (job.live) ++m.per_task[job.task].pending_at_horizon;
   if (!response_samplers.empty()) {
     for (std::size_t i = 0; i < tasks.size(); ++i) {
       m.per_task[i].p95_response = response_samplers[i].quantile(0.95);

@@ -458,13 +458,14 @@ TEST(DemandBackend, AcceptsSupersetOfUtilization) {
       const double period = std::pow(10.0, rng.uniform(1.0, 2.0));
       const double wcet_lo = std::max(1e-6, rng.uniform(0.1, 0.5) * period);
       mc::McTask task;
+      std::string name = hc ? "h" : "l";  // not "h" + ...: GCC 12
+      name += std::to_string(i);          // -Wrestrict false positive
       if (hc) {
         const double wcet_hi =
             std::min(period, wcet_lo * rng.uniform(1.3, 3.0));
-        task = mc::McTask::high("h" + std::to_string(i), wcet_lo, wcet_hi,
-                                period);
+        task = mc::McTask::high(name, wcet_lo, wcet_hi, period);
       } else {
-        task = mc::McTask::low("l" + std::to_string(i), wcet_lo, period);
+        task = mc::McTask::low(name, wcet_lo, period);
       }
       if (rng.bernoulli(0.5)) {
         task.deadline_override =

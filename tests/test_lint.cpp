@@ -66,8 +66,9 @@ TEST(Lint, UnassignedOptimismIsWarning) {
 TEST(Lint, OverloadedHcWarning) {
   mc::TaskSet tasks;
   for (int i = 0; i < 2; ++i) {
-    mc::McTask hc = mc::McTask::high("h" + std::to_string(i), 60.0, 60.0,
-                                     100.0);
+    std::string name = "h";  // not "h" + ...: GCC 12 -Wrestrict
+    name += std::to_string(i);  // false positive
+    mc::McTask hc = mc::McTask::high(name, 60.0, 60.0, 100.0);
     hc.stats = mc::ExecutionStats{5.0, 1.0, nullptr};
     tasks.add(hc);
   }

@@ -123,8 +123,9 @@ TEST_P(SeededProperty, P4_DbfAcceptedConstrainedSetsSimulateCleanly) {
     const double wcet = u * period;
     const double deadline = rng.uniform(0.6, 1.0) * period;
     if (wcet > deadline) continue;
-    tasks.add(mc::McTask::low("t" + std::to_string(index++), wcet, period)
-                  .with_deadline(deadline));
+    std::string name = "t";  // not "t" + ...: GCC 12 -Wrestrict
+    name += std::to_string(index++);  // false positive
+    tasks.add(mc::McTask::low(name, wcet, period).with_deadline(deadline));
     util += u;
   }
   const sched::DbfResult dbf = sched::edf_dbf_test(tasks, mc::Mode::kLow);

@@ -65,8 +65,8 @@ std::optional<double> strtod_rule(const std::string& value) {
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0' || errno == ERANGE ||
-      !std::isfinite(v))
+  if (end == value.c_str() || end != value.c_str() + value.size() ||
+      errno == ERANGE || !std::isfinite(v))
     return std::nullopt;
   return v;
 }
@@ -111,7 +111,9 @@ TEST(ServeProtocol, NumbersFollowTheStrtodRule) {
       "+1.5", "0x1p3", "0X1P-2", "0x1p-1074", "0x1p-1075", "1e-310",
       "4.9e-324", "2.2250738585072011e-308", "2.2250738585072014e-308",
       "1e-400", "1e309", "-0", "0", "0e-400", ".5", "5.", "1,5", "1.5e",
-      ".", "-", "inf", "INF", "infinity", "nan", "nan(1)"};
+      ".", "-", "inf", "INF", "infinity", "nan", "nan(1)",
+      // strtod stops at a NUL byte; the whole value must still be read.
+      std::string("1\0zz", 4), std::string("1.5\0junk", 8)};
   common::Rng rng(20240125);
   char buf[64];
   for (int i = 0; i < 1500; ++i) {
