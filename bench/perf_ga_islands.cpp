@@ -1,30 +1,22 @@
-// Island-GA + genome-memoization benchmark on a large (~100 HC task)
-// Eq. 13 multiplier-optimization instance, in three rows:
+// Island-GA benchmark on a large (~100 HC task) Eq. 13 multiplier-
+// optimization instance, in two rows:
 //
-//  1. "monolithic"  — the legacy ga::run_ga path (no memo cache).
-//  2. "memoized"    — run_island_ga with islands=1, interval=0: the
-//     evolution path is bit-identical to row 1 (pinned by the
-//     test_ga_islands oracle), but the genome->objective cache skips
-//     re-evaluating duplicate genomes, so every saved fitness call is
-//     pure speedup at identical output. The headline `speedup` compares
-//     these two rows; the run FAILS (exit 1) if the winning genomes or
-//     objective diverge.
-//  3. "islands"     — the full island model (default 4 islands, ring
+//  1. "single"  — the single-population search: the island engine at
+//     plan {1 island, interval 0}, which is ga::run_ga.
+//  2. "islands" — the full island model (default 4 islands, ring
 //     migration every 5 generations): more total search at the same
-//     per-island budget, reported for objective/hit-rate context rather
-//     than as a like-for-like timing row.
+//     per-island budget, reported for objective context rather than as a
+//     like-for-like timing row.
 //
+// Each row reports wall time, fitness calls and the winner's objective.
 // Two objective modes pick the fitness-call cost regime:
 //   --objective=demand   (default) — Eq. 13 gated by the deadline-
 //     tightening demand grid search (sched::edf_vd_demand_search) over
-//     the candidate assignment: the search dominates each fitness call,
-//     which is the regime memoization targets.
-//   --objective=analytic — the bare Eq. 13 closed form (~2 us/call):
-//     cache bookkeeping costs more than the saved calls, so this mode
-//     documents the break-even honestly rather than hiding it.
+//     the candidate assignment: the search dominates each fitness call.
+//   --objective=analytic — the bare Eq. 13 closed form (~2 us/call), where
+//     the engine's own bookkeeping shows.
 //
-// --json writes the rows plus the headline speedup/hit-rate as a CI
-// artifact (see .github/workflows/ci.yml).
+// --json writes the rows as a CI artifact (see .github/workflows/ci.yml).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -88,18 +80,8 @@ struct RunRow {
   std::string mode;
   double wall_ms = 0.0;
   std::size_t evaluations = 0;  ///< actual Problem::evaluate calls
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
   double objective = 0.0;
-  std::vector<double> genes;
 };
-
-double hit_rate(const RunRow& r) {
-  const std::size_t lookups = r.cache_hits + r.cache_misses;
-  return lookups > 0 ? static_cast<double>(r.cache_hits) /
-                           static_cast<double>(lookups)
-                     : 0.0;
-}
 
 std::string format_fixed(double value, int decimals) {
   char buf[32];
@@ -107,20 +89,13 @@ std::string format_fixed(double value, int decimals) {
   return buf;
 }
 
-std::string render_json(const std::vector<RunRow>& rows, double speedup,
-                        bool matched) {
+std::string render_json(const std::vector<RunRow>& rows) {
   std::ostringstream out;
-  out << "{\n  \"benchmark\": \"perf_ga_islands\",\n"
-      << "  \"memo_speedup\": " << speedup << ",\n"
-      << "  \"memo_matches_monolithic\": " << (matched ? "true" : "false")
-      << ",\n  \"results\": [\n";
+  out << "{\n  \"benchmark\": \"perf_ga_islands\",\n  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const RunRow& r = rows[i];
     out << "    {\"mode\": \"" << r.mode << "\", \"wall_ms\": " << r.wall_ms
         << ", \"evaluations\": " << r.evaluations
-        << ", \"cache_hits\": " << r.cache_hits
-        << ", \"cache_misses\": " << r.cache_misses
-        << ", \"hit_rate\": " << hit_rate(r)
         << ", \"objective\": " << r.objective << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
@@ -140,8 +115,8 @@ int main(int argc, char** argv) {
   std::string objective_mode = "demand";
   std::string json_path;
   mcs::common::Cli cli(
-      "Island-GA memoization benchmark: legacy run_ga vs. the memoized "
-      "island engine on a ~100-HC-task multiplier optimization");
+      "Island-GA benchmark: run_ga vs. the island model on a ~100-HC-task "
+      "multiplier optimization");
   cli.add_u64("seed", &seed, "PRNG seed (task set and GA)");
   cli.add_u64("population", &population, "GA population size (per island)");
   cli.add_u64("generations", &generations, "GA generations");
@@ -184,24 +159,7 @@ int main(int argc, char** argv) {
           : *multiplier_problem;
   std::printf("objective mode: %s\n", objective_mode.c_str());
 
-  std::vector<RunRow> rows;
-
-  {  // Row 1: legacy monolithic run_ga (no memo).
-    const Clock::time_point t0 = Clock::now();
-    const mcs::ga::GaResult mono = mcs::ga::run_ga(problem, ga);
-    RunRow row;
-    row.mode = "monolithic";
-    row.wall_ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-    row.evaluations = mono.evaluations;
-    row.cache_misses = mono.evaluations;
-    row.objective = mono.best.fitness;
-    row.genes = mono.best.genes;
-    rows.push_back(std::move(row));
-  }
-
-  const auto island_row = [&](const char* mode, const mcs::ga::IslandPlan&
-                                                    plan) {
+  const auto run_row = [&](const char* mode, const mcs::ga::IslandPlan& plan) {
     mcs::ga::IslandGaConfig config;
     config.ga = ga;
     config.plan = plan;
@@ -213,61 +171,31 @@ int main(int argc, char** argv) {
     row.wall_ms =
         std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
     row.evaluations = result.stats.evaluations;
-    row.cache_hits = result.stats.cache_hits;
-    row.cache_misses = result.stats.cache_misses;
-    const mcs::ga::Individual best =
-        mcs::ga::best_of_state(result.final_state);
-    row.objective = best.fitness;
-    row.genes = best.genes;
+    row.objective = mcs::ga::run_winner(config, result).fitness;
     return row;
   };
-
-  // Row 2: same evolution path, memoized (islands=1, no migration).
-  rows.push_back(island_row("memoized", {1, 0, 0}));
-  // Row 3: the full island model at the configured plan.
-  rows.push_back(island_row(
-      "islands", {static_cast<std::size_t>(islands),
-                  static_cast<std::size_t>(migration_interval),
-                  static_cast<std::size_t>(migrants)}));
-
-  const RunRow& mono = rows[0];
-  const RunRow& memo = rows[1];
-  const bool matched =
-      memo.genes == mono.genes && memo.objective == mono.objective;
-  const double speedup =
-      memo.wall_ms > 0.0 ? mono.wall_ms / memo.wall_ms : 0.0;
+  // Plan {1, 0} is run_ga; the island row runs the configured plan.
+  const std::vector<RunRow> rows = {
+      run_row("single", {1, 0, 0}),
+      run_row("islands", {static_cast<std::size_t>(islands),
+                          static_cast<std::size_t>(migration_interval),
+                          static_cast<std::size_t>(migrants)})};
 
   mcs::common::Table table({"mode", "wall (ms)", "fitness calls",
-                            "memo hits", "memo misses", "hit rate",
                             "objective"});
-  table.set_title("island-GA memoization benchmark (" +
-                  std::to_string(tasks.size()) + " HC tasks, population " +
-                  std::to_string(population) + ", " +
-                  std::to_string(generations) + " generations)");
+  table.set_title("island-GA benchmark (" + std::to_string(tasks.size()) +
+                  " HC tasks, population " + std::to_string(population) +
+                  ", " + std::to_string(generations) + " generations)");
   for (const RunRow& r : rows)
     table.add_row({r.mode, format_fixed(r.wall_ms, 1),
                    std::to_string(r.evaluations),
-                   std::to_string(r.cache_hits),
-                   std::to_string(r.cache_misses),
-                   format_fixed(100.0 * hit_rate(r), 1) + "%",
                    format_fixed(r.objective, 6)});
   std::fputs(table.render().c_str(), stdout);
 
-  std::printf(
-      "\nmemoized vs monolithic: %.2fx wall-clock, %zu of %zu fitness "
-      "calls skipped (%s winner)\n",
-      speedup, mono.evaluations - memo.evaluations, mono.evaluations,
-      matched ? "identical" : "DIVERGENT");
-
   if (!json_path.empty()) {
     std::ofstream json_out(json_path);
-    json_out << render_json(rows, speedup, matched);
+    json_out << render_json(rows);
     std::printf("JSON written to %s\n", json_path.c_str());
-  }
-  if (!matched) {
-    std::fprintf(stderr,
-                 "FAIL: memoized single-island run diverged from run_ga\n");
-    return 1;
   }
   return 0;
 }

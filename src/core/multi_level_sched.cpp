@@ -153,18 +153,13 @@ MlOptimizationResult optimize_ml_ga(const MlSystem& system,
   if (!system.valid())
     throw std::invalid_argument("optimize_ml_ga: invalid system");
   const MlProblem problem(system, increment_cap);
+  ga::IslandGaConfig island_config;
+  island_config.ga = config;
+  island_config.plan = plan;
+  const ga::IslandGaResult ga_result =
+      ga::run_island_ga(problem, island_config);
   MlOptimizationResult result;
-  if (plan.islands > 1 || plan.migration_interval > 0) {
-    ga::IslandGaConfig island_config;
-    island_config.ga = config;
-    island_config.plan = plan;
-    const ga::IslandGaResult ga_result =
-        ga::run_island_ga(problem, island_config);
-    result.increments = ga::best_of_state(ga_result.final_state).genes;
-  } else {
-    const ga::GaResult ga_result = ga::run_ga(problem, config);
-    result.increments = ga_result.best.genes;
-  }
+  result.increments = ga::run_winner(island_config, ga_result).genes;
   result.assignment = decode_ml_assignment(system, result.increments);
   result.evaluation = evaluate_ml_assignment(system, result.assignment);
   return result;

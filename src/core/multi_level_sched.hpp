@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "ga/engine.hpp"
 #include "ga/islands.hpp"
 
 namespace mcs::core {
@@ -98,9 +97,9 @@ struct MlOptimizationResult {
 
 /// Optimizes the multiplier increments with the GA (paper hyper-params).
 /// `increment_cap` bounds each per-rung increment. The default `plan`
-/// (1 island, no migration) keeps the historical run_ga path; islands > 1
-/// or a migration interval switch to the island-model search with the
-/// best_of_state winner rule.
+/// (1 island, no migration) is run_ga with its hall-of-fame winner;
+/// islands > 1 or a migration interval pick the winner with
+/// ga::best_of_state (see ga::run_winner).
 [[nodiscard]] MlOptimizationResult optimize_ml_ga(
     const MlSystem& system, const ga::GaConfig& config = {},
     double increment_cap = 16.0, const ga::IslandPlan& plan = {});

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/objective.hpp"
-#include "ga/engine.hpp"
 #include "ga/islands.hpp"
 #include "mc/taskset.hpp"
 
@@ -17,8 +16,7 @@ namespace mcs::core {
 struct OptimizationResult {
   std::vector<double> n;          ///< chosen multipliers (per HC task)
   ObjectiveBreakdown breakdown;   ///< objective at the chosen point
-  /// Search cost: fitness calls and memo hit/miss counts. The monolithic
-  /// run_ga path has no memo, so hits = 0 and misses = evaluations.
+  /// Search cost: fitness calls and applied migrations.
   ga::IslandStats search;
 };
 
@@ -30,10 +28,10 @@ struct OptimizerConfig {
   ga::GaConfig ga;
   double n_cap = 64.0;
   /// Island-model knobs. The default (1 island, no migration, no warm
-  /// start) takes the historical run_ga path bit for bit; islands > 1, a
-  /// migration interval, or warm-start genomes switch to run_island_ga,
-  /// whose winner is picked by ga::best_of_state (the same rule the
-  /// sharded CLI --finalize path applies).
+  /// start) is run_ga, whose winner is the hall-of-fame individual; with
+  /// islands > 1, a migration interval or warm-start genomes the winner is
+  /// ga::best_of_state of the final populations, the rule the sharded CLI
+  /// --finalize path applies (see ga::run_winner).
   ga::IslandPlan islands;
   /// Warm-start genomes injected into every island's initial population
   /// (see ga::IslandGaConfig::seed_genomes), e.g. the winners of a

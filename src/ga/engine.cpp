@@ -6,32 +6,9 @@
 #include <stdexcept>
 #include <string>
 
-#include "common/thread_pool.hpp"
-
 namespace mcs::ga {
 
 namespace {
-
-/// Evaluates every unevaluated individual of `population` in place,
-/// fanning the fitness calls out across the shared thread pool. `todo` is
-/// a reused index buffer. Problem::evaluate is a pure function of the
-/// genes and each call writes only its own individual, so the outcome is
-/// identical to the serial loop for any --jobs value. Results pass through
-/// sanitize_fitness (see problem.hpp): a NaN or infinite objective becomes
-/// -inf instead of corrupting the comparator.
-void evaluate_population(std::vector<Individual>& population,
-                         const Problem& problem, std::vector<std::size_t>& todo,
-                         std::size_t& evals) {
-  todo.clear();
-  for (std::size_t i = 0; i < population.size(); ++i)
-    if (!population[i].evaluated) todo.push_back(i);
-  common::parallel_for(todo.size(), [&](std::size_t k) {
-    Individual& ind = population[todo[k]];
-    ind.fitness = sanitize_fitness(problem.evaluate(ind.genes));
-    ind.evaluated = true;
-  });
-  evals += todo.size();
-}
 
 bool fitter(const Individual& a, const Individual& b) {
   return a.fitness > b.fitness;
@@ -117,39 +94,6 @@ void breed_generation(const std::vector<Individual>& population,
     if (child_b.genes != population[parent_b].genes)
       child_b.evaluated = false;
   }
-}
-
-GaResult run_ga(const Problem& problem, const GaConfig& config) {
-  validate_ga_config(problem, config, "run_ga");
-
-  common::Rng rng(config.seed);
-  GaResult result;
-  result.history.reserve(config.generations);
-  BreedBuffers buffers(problem);
-  std::vector<std::size_t> todo;
-
-  std::vector<Individual> population(config.population_size);
-  for (Individual& ind : population)
-    ind.genes = random_genome(buffers.box, rng);
-  evaluate_population(population, problem, todo, result.evaluations);
-
-  result.best = *std::max_element(
-      population.begin(), population.end(),
-      [&](const Individual& a, const Individual& b) { return fitter(b, a); });
-
-  // Two populations for the whole run: each generation is bred into the
-  // spare one, reusing its genome storage, and then the two swap.
-  std::vector<Individual> next = population;
-  for (std::size_t gen = 0; gen < config.generations; ++gen) {
-    breed_generation(population, config, buffers, rng, next);
-    evaluate_population(next, problem, todo, result.evaluations);
-    population.swap(next);
-
-    result.history.push_back(summarize_population(population));
-    for (const Individual& ind : population)
-      if (ind.fitness > result.best.fitness) result.best = ind;
-  }
-  return result;
 }
 
 }  // namespace mcs::ga

@@ -3,7 +3,9 @@
 // Configuration mirrors the paper's Section V setup: crossover probability
 // 0.8, mutation probability 0.2, tournament selection with 5 individuals.
 // The engine is elitist (the best individual always survives) and fully
-// deterministic in its seed.
+// deterministic in its seed. This header holds the configuration and the
+// generation step; the generational loop itself, run_ga and its island
+// generalization run_island_ga, lives in ga/islands.hpp.
 #pragma once
 
 #include <cstdint>
@@ -42,16 +44,10 @@ struct GenerationStats {
   double worst = 0.0;
 };
 
-/// Result of a GA run.
-struct GaResult {
-  Individual best;                        ///< hall-of-fame individual
-  std::vector<GenerationStats> history;   ///< one entry per generation
-  std::size_t evaluations = 0;            ///< fitness calls performed
-};
-
-/// Validates the (problem, config) pair shared by run_ga and the island
-/// layer: population_size >= 2, dimension >= 1, elitism < population_size.
-/// Throws std::invalid_argument, prefixing messages with `who`.
+/// Validates the (problem, config) pair shared by run_ga and
+/// run_island_ga: population_size >= 2, dimension >= 1,
+/// elitism < population_size. Throws std::invalid_argument, prefixing
+/// messages with `who`.
 void validate_ga_config(const Problem& problem, const GaConfig& config,
                         const char* who);
 
@@ -79,14 +75,10 @@ struct BreedBuffers {
 /// crossover between equal parents, mutation redrawing the same value)
 /// keep the parent's cached fitness instead of being re-evaluated.
 /// Consumes exactly the same RNG draw sequence as the historical inline
-/// loop, so seeds reproduce old runs. This is the building block shared
-/// between run_ga and ga/islands.
+/// loop, so seeds reproduce old runs. ga/islands runs it once per island
+/// per generation.
 void breed_generation(const std::vector<Individual>& population,
                       const GaConfig& config, BreedBuffers& buffers,
                       common::Rng& rng, std::vector<Individual>& next);
-
-/// Runs the generational GA on `problem`, maximizing fitness.
-/// Requires population_size >= 2 and dimension >= 1.
-[[nodiscard]] GaResult run_ga(const Problem& problem, const GaConfig& config);
 
 }  // namespace mcs::ga

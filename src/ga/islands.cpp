@@ -1,7 +1,6 @@
 #include "ga/islands.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <numeric>
 #include <stdexcept>
 
@@ -69,72 +68,31 @@ std::vector<std::size_t> worst_k(const std::vector<Individual>& population,
   return order;
 }
 
-/// Memoized batched evaluation of every unevaluated individual in islands
-/// [begin, end). Classification (hit / pending duplicate / miss) runs
-/// sequentially on the caller thread in island-major member-minor order,
-/// so the hit and miss counts are identical at every --jobs value; only
-/// the de-duplicated miss batch fans out to the pool, and results land by
-/// slot index. Pending duplicates (the same new genome appearing several
-/// times in one batch, e.g. a migrated elite cloned by selection) count
-/// as hits: they share the slot and pay for one evaluation.
+/// Evaluates every unevaluated member of islands [begin, end) in place,
+/// fanning the fitness calls out across the shared thread pool. `todo` is
+/// a reused buffer. Problem::evaluate is a pure function of the genes and
+/// each call writes only its own member, so the outcome is identical to
+/// the serial loop for any --jobs value. Results pass through
+/// sanitize_fitness (see problem.hpp): a NaN or infinite objective becomes
+/// -inf instead of corrupting the comparator.
 void evaluate_islands(IslandState& state, std::size_t begin, std::size_t end,
-                      const Problem& problem, GenomeFitCache& cache,
+                      const Problem& problem, std::vector<Individual*>& todo,
                       IslandStats& stats) {
-  struct Ref {
-    std::size_t island, member, slot;
-  };
-  constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-  std::vector<Ref> refs;
-  std::vector<const Genome*> batch;
-  // Slots of the new genomes within `batch`, bucketed by genome hash, for
-  // spotting in-batch duplicates.
-  std::unordered_map<std::size_t, std::vector<std::size_t>> slot_by_hash;
-  auto find_slot = [&](const Genome& g) {
-    const auto it = slot_by_hash.find(GenomeFitCache::BitsHash{}(g));
-    if (it != slot_by_hash.end())
-      for (const std::size_t slot : it->second)
-        if (GenomeFitCache::BitsEqual{}(*batch[slot], g)) return slot;
-    return kNoSlot;
-  };
-  for (std::size_t i = begin; i < end; ++i) {
-    for (std::size_t j = 0; j < state[i].size(); ++j) {
-      Individual& ind = state[i][j];
-      if (ind.evaluated) continue;
-      if (const double* hit = cache.find(ind.genes)) {
-        ind.fitness = *hit;
-        ind.evaluated = true;
-        ++stats.cache_hits;
-        continue;
-      }
-      std::size_t slot = find_slot(ind.genes);
-      if (slot != kNoSlot) {
-        ++stats.cache_hits;
-      } else {
-        slot = batch.size();
-        slot_by_hash[GenomeFitCache::BitsHash{}(ind.genes)].push_back(slot);
-        batch.push_back(&ind.genes);
-        ++stats.cache_misses;
-      }
-      refs.push_back({i, j, slot});
-    }
-  }
-  if (batch.empty()) return;
-  const std::vector<double> fitness =
-      common::parallel_map(batch.size(), [&](std::size_t k) {
-        return sanitize_fitness(problem.evaluate(*batch[k]));
-      });
-  stats.evaluations += batch.size();
-  for (std::size_t k = 0; k < batch.size(); ++k)
-    cache.insert(*batch[k], fitness[k]);
-  for (const Ref& ref : refs) {
-    state[ref.island][ref.member].fitness = fitness[ref.slot];
-    state[ref.island][ref.member].evaluated = true;
-  }
+  todo.clear();
+  for (std::size_t i = begin; i < end; ++i)
+    for (Individual& ind : state[i])
+      if (!ind.evaluated) todo.push_back(&ind);
+  common::parallel_for(todo.size(), [&](std::size_t k) {
+    Individual& ind = *todo[k];
+    ind.fitness = sanitize_fitness(problem.evaluate(ind.genes));
+    ind.evaluated = true;
+  });
+  stats.evaluations += todo.size();
 }
 
-/// run_ga-compatible hall-of-fame update over islands [begin, end):
-/// starting from unset, the first individual seeds it and later ones
-/// replace it only on strictly greater fitness (first-of-equals wins).
+/// Hall-of-fame update over islands [begin, end): starting from unset,
+/// the first individual seeds it and later ones replace it only on
+/// strictly greater fitness (first-of-equals wins).
 void update_hall_of_fame(const IslandState& state, std::size_t begin,
                          std::size_t end, Individual* best) {
   if (best == nullptr) return;
@@ -145,39 +103,9 @@ void update_hall_of_fame(const IslandState& state, std::size_t begin,
 
 }  // namespace
 
-std::size_t GenomeFitCache::BitsHash::operator()(const Genome& g)
-    const noexcept {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  for (const double x : g) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &x, sizeof(bits));
-    for (int b = 0; b < 8; ++b) {
-      h ^= (bits >> (8 * b)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  }
-  return static_cast<std::size_t>(h);
-}
-
-bool GenomeFitCache::BitsEqual::operator()(const Genome& a,
-                                           const Genome& b) const noexcept {
-  if (a.size() != b.size()) return false;
-  return a.empty() ||
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-}
-
-const double* GenomeFitCache::find(const Genome& genes) const {
-  const auto it = map_.find(genes);
-  return it == map_.end() ? nullptr : &it->second;
-}
-
-void GenomeFitCache::insert(const Genome& genes, double fitness) {
-  map_.try_emplace(genes, fitness);
-}
-
 std::uint64_t island_seed(const IslandGaConfig& config, std::size_t island) {
-  // A single island keeps the raw seed so `islands=1, interval=0` is
-  // bit-identical to run_ga(config.ga).
+  // A single island keeps the raw seed, so `islands=1, interval=0` walks
+  // run_ga's historical RNG stream.
   if (config.plan.islands <= 1) return config.ga.seed;
   return common::index_seed(config.ga.seed, island);
 }
@@ -208,7 +136,7 @@ std::pair<std::size_t, std::size_t> epoch_generations(
 void evolve_islands_epoch(const Problem& problem, const IslandGaConfig& config,
                           std::size_t epoch, IslandState& state,
                           std::size_t begin, std::size_t end,
-                          GenomeFitCache& cache, IslandStats& stats,
+                          IslandStats& stats,
                           std::vector<std::vector<GenerationStats>>* history,
                           Individual* hall_of_fame) {
   validate_island_config(problem, config);
@@ -230,6 +158,8 @@ void evolve_islands_epoch(const Problem& problem, const IslandGaConfig& config,
     const std::uint64_t base = island_seed(config, i);
     rngs.emplace_back(epoch == 0 ? base : common::index_seed(base, epoch));
   }
+  std::vector<Individual*> todo;
+  todo.reserve((end - begin) * config.ga.population_size);
 
   if (epoch == 0) {
     for (std::size_t i = begin; i < end; ++i) {
@@ -251,7 +181,7 @@ void evolve_islands_epoch(const Problem& problem, const IslandGaConfig& config,
         clamp_to_bounds(target.genes, buffers.box);
       }
     }
-    evaluate_islands(state, begin, end, problem, cache, stats);
+    evaluate_islands(state, begin, end, problem, todo, stats);
     update_hall_of_fame(state, begin, end, hall_of_fame);
   } else {
     for (std::size_t i = begin; i < end; ++i)
@@ -285,7 +215,7 @@ void evolve_islands_epoch(const Problem& problem, const IslandGaConfig& config,
       breed_generation(state[i], config.ga, buffers, rngs[i - begin], spare);
       state[i].swap(spare);
     }
-    evaluate_islands(state, begin, end, problem, cache, stats);
+    evaluate_islands(state, begin, end, problem, todo, stats);
     if (history != nullptr)
       for (std::size_t i = begin; i < end; ++i)
         (*history)[i].push_back(summarize_population(state[i]));
@@ -312,13 +242,31 @@ IslandGaResult run_island_ga(const Problem& problem,
   IslandGaResult result;
   result.final_state.assign(config.plan.islands, {});
   result.history.assign(config.plan.islands, {});
-  GenomeFitCache cache;
+  for (std::vector<GenerationStats>& history : result.history)
+    history.reserve(config.ga.generations);
   const std::size_t epochs = epoch_count(config);
   for (std::size_t epoch = 0; epoch < epochs; ++epoch)
     evolve_islands_epoch(problem, config, epoch, result.final_state, 0,
-                         config.plan.islands, cache, result.stats,
-                         &result.history, &result.best);
+                         config.plan.islands, result.stats, &result.history,
+                         &result.best);
   return result;
+}
+
+Individual run_winner(const IslandGaConfig& config,
+                      const IslandGaResult& result) {
+  const bool single_population = config.plan.islands == 1 &&
+                                 config.plan.migration_interval == 0 &&
+                                 config.seed_genomes.empty();
+  return single_population ? result.best : best_of_state(result.final_state);
+}
+
+GaResult run_ga(const Problem& problem, const GaConfig& config) {
+  validate_ga_config(problem, config, "run_ga");
+  IslandGaConfig island_config;
+  island_config.ga = config;
+  IslandGaResult run = run_island_ga(problem, island_config);
+  return {std::move(run.best), std::move(run.history.front()),
+          run.stats.evaluations};
 }
 
 }  // namespace mcs::ga

@@ -1,4 +1,5 @@
-// Island-model layer over the generational GA engine.
+// Island-model layer over the generational GA engine, and the one
+// generational loop of the library: run_ga is its single-island run.
 //
 // N per-island populations evolve independently and exchange their best
 // individuals on a fixed schedule (ring topology). The run is organized in
@@ -12,19 +13,18 @@
 //
 // Determinism contract (same as the rest of the repo):
 //  * island i's base seed is index_seed(ga.seed, i) — except islands == 1,
-//    which uses ga.seed directly so `islands=1, migration_interval=0`
-//    reproduces run_ga bit for bit;
+//    which uses ga.seed directly, so `islands=1, migration_interval=0` is
+//    run_ga;
 //  * epoch e > 0 reseeds island i from index_seed(base, e); no RNG state
 //    crosses an epoch boundary;
 //  * migration replaces the worst-K residents of island i with copies of
 //    the top-K of island i-1 (mod N), all read from the pre-epoch state;
-//  * fitness evaluation is memoized in a GenomeFitCache; hit/miss
-//    classification runs sequentially on the caller thread, only the miss
-//    batch fans out, so counts and bits are --jobs-invariant.
+//  * each generation's unevaluated members are evaluated in place through
+//    one parallel_for; every call writes only its own member, so counts
+//    and bits are --jobs-invariant.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -54,39 +54,13 @@ struct IslandGaConfig {
   std::vector<Genome> seed_genomes;
 };
 
-/// Genome -> fitness memo. Keys compare and hash by gene *bit patterns*
-/// (FNV-1a over the raw doubles, same idea as sched::SampleFitCache's
-/// fingerprint), so lookup can never confuse two distinct genomes and the
-/// hash/equality contract holds even for -0.0 vs 0.0.
-class GenomeFitCache {
- public:
-  struct BitsHash {
-    std::size_t operator()(const Genome& g) const noexcept;
-  };
-  struct BitsEqual {
-    bool operator()(const Genome& a, const Genome& b) const noexcept;
-  };
-
-  /// Cached fitness of `genes`, or nullptr when absent.
-  [[nodiscard]] const double* find(const Genome& genes) const;
-
-  /// Records the fitness of `genes` (first write wins).
-  void insert(const Genome& genes, double fitness);
-
-  [[nodiscard]] std::size_t size() const { return map_.size(); }
-
- private:
-  std::unordered_map<Genome, double, BitsHash, BitsEqual> map_;
-};
-
-/// Cost counters of an island run. `evaluations` counts actual
-/// Problem::evaluate calls and is always equal to `cache_misses`;
-/// memoization hits are reported separately so cost columns stay honest.
+/// Cost counters of an island run.
 struct IslandStats {
-  std::size_t evaluations = 0;   ///< fitness calls performed (== misses)
-  std::size_t cache_hits = 0;    ///< evaluations avoided by the memo
-  std::size_t cache_misses = 0;  ///< distinct genomes actually evaluated
-  std::size_t migrations = 0;    ///< immigrant individuals applied
+  std::size_t evaluations = 0;  ///< Problem::evaluate calls performed
+  /// Always 0: the island engine keeps no fitness memo. Kept only because
+  /// the benchmark harness still reports it as `ga.cache_hits`.
+  std::size_t cache_hits = 0;
+  std::size_t migrations = 0;  ///< immigrant individuals applied
 };
 
 /// Per-island populations, indexed [island][member].
@@ -94,7 +68,7 @@ using IslandState = std::vector<std::vector<Individual>>;
 
 /// Result of an island run.
 struct IslandGaResult {
-  Individual best;          ///< hall-of-fame (run_ga-compatible tracking)
+  Individual best;          ///< hall of fame: first of maximal fitness
   IslandState final_state;  ///< end-of-run populations
   std::vector<std::vector<GenerationStats>> history;  ///< per island
   IslandStats stats;
@@ -115,17 +89,17 @@ struct IslandGaResult {
 /// epoch 0, draws fresh random populations (plus seed-genome injection);
 /// for epoch > 0, first applies the ring migration due at the boundary
 /// (reading emigrants from the full pre-epoch `state`), then runs the
-/// epoch's generations in lockstep with memoized batched evaluation.
+/// epoch's generations in lockstep, evaluating each generation in place.
 /// Only rows [begin, end) of `state` are written; for epoch > 0 every
 /// island of `state` must hold an evaluated population of the configured
 /// size (shards read the full merged previous state). `history`, when
 /// non-null, receives one GenerationStats per generation per owned
-/// island; `hall_of_fame`, when non-null, tracks the best individual
-/// ever seen exactly as run_ga does.
+/// island; `hall_of_fame`, when non-null, tracks the first individual of
+/// maximal fitness ever seen.
 void evolve_islands_epoch(const Problem& problem, const IslandGaConfig& config,
                           std::size_t epoch, IslandState& state,
                           std::size_t begin, std::size_t end,
-                          GenomeFitCache& cache, IslandStats& stats,
+                          IslandStats& stats,
                           std::vector<std::vector<GenerationStats>>* history,
                           Individual* hall_of_fame);
 
@@ -134,11 +108,28 @@ void evolve_islands_epoch(const Problem& problem, const IslandGaConfig& config,
 /// sharded --finalize path). Requires a non-empty, evaluated state.
 [[nodiscard]] Individual best_of_state(const IslandState& state);
 
-/// Runs the whole island GA in process (all islands, all epochs, one
-/// persistent memo cache). With plan = {1, 0, *} and no seed genomes this
-/// reproduces run_ga(problem, config.ga) bit for bit in best and history;
-/// only the evaluation count differs (the memo skips duplicate genomes).
+/// Runs the whole island GA in process: all islands, all epochs.
 [[nodiscard]] IslandGaResult run_island_ga(const Problem& problem,
                                            const IslandGaConfig& config);
+
+/// The winner of a finished run_island_ga. A plain single-population run
+/// (plan {1 island, interval 0}, no seed genomes) returns the hall-of-fame
+/// `best`, as run_ga does; every other run returns best_of_state of the
+/// final populations, the only rule the sharded --finalize path can apply.
+/// The two rules can pick different genomes of equal fitness.
+[[nodiscard]] Individual run_winner(const IslandGaConfig& config,
+                                    const IslandGaResult& result);
+
+/// Result of run_ga.
+struct GaResult {
+  Individual best;                       ///< hall-of-fame individual
+  std::vector<GenerationStats> history;  ///< one entry per generation
+  std::size_t evaluations = 0;           ///< fitness calls performed
+};
+
+/// Runs the generational GA on `problem`, maximizing fitness: the
+/// single-island, single-epoch run_island_ga (plan {1, 0}, no seed
+/// genomes). Requires population_size >= 2 and dimension >= 1.
+[[nodiscard]] GaResult run_ga(const Problem& problem, const GaConfig& config);
 
 }  // namespace mcs::ga

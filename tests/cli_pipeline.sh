@@ -78,11 +78,26 @@ if [ -n "$MERGE" ]; then
   "$CLI" optimize "$WORKDIR/tasks.mcs" $ISL_ARGS --finalize \
     --state-in="$PREV" > "$WORKDIR/isl_finalized.mcs"
   cmp "$WORKDIR/isl_j1.mcs" "$WORKDIR/isl_finalized.mcs"
+
+  # A state CSV row must carry whole decimal island and member cells, a
+  # fitness that is finite or -inf, and finite genes: a fractional
+  # member, a junk island cell and a nan fitness are each rejected rather
+  # than read as a prefix or picked as the winner.
+  E0="$WORKDIR/isl_e0_full.csv"
+  sed 's/^0,1,/0,1.9,/' "$E0" > "$WORKDIR/bad_member.csv"
+  sed 's/^0,0,/0junk,0,/' "$E0" > "$WORKDIR/bad_island.csv"
+  sed 's/^0,0,[^,]*,/0,0,nan,/' "$E0" > "$WORKDIR/bad_fitness.csv"
+  for bad in bad_member bad_island bad_fitness; do
+    if "$CLI" optimize "$WORKDIR/tasks.mcs" $ISL_ARGS --finalize \
+      --state-in="$WORKDIR/$bad.csv" > /dev/null 2>&1; then
+      echo "optimize --finalize accepted $bad.csv" >&2
+      exit 1
+    fi
+  done
 fi
 
 # Open-system admission service: replaying the same churn script must
-# yield byte-identical output at every --jobs value, in both
-# departure-rebuild modes.
+# yield byte-identical output at every --jobs value.
 cat > "$WORKDIR/churn.txt" <<'EOF'
 # open-system churn script (see EXPERIMENTS.md)
 admit name=video crit=HC wcet_lo=2.0 wcet_hi=6.0 period=20 acet=1.6 sigma=0.2

@@ -21,7 +21,7 @@
 #include "exp/multicore.hpp"
 #include "exp/table1.hpp"
 #include "exp/table2.hpp"
-#include "ga/engine.hpp"
+#include "ga/islands.hpp"
 #include "sim/engine.hpp"
 #include "taskgen/generator.hpp"
 

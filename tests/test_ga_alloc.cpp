@@ -1,17 +1,20 @@
-// Pins that a GA generation allocates nothing: run_ga breeds into a spare
-// population whose genome storage it reuses, so the heap allocations of a
-// run do not grow with the number of generations. The counting global
-// operator new replaces the library's for this binary only, which is why
-// this test lives in its own executable.
+// Pins that a GA generation allocates nothing: the island engine, and
+// run_ga as its single-island run, breeds into a spare population whose
+// genome storage it reuses, evaluates through a reused buffer and
+// reserves its history, so the heap allocations of a run do not grow with
+// the number of generations. The counting global operator new replaces
+// the library's for this binary only, which is why this test lives in
+// its own executable.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "common/thread_pool.hpp"
-#include "ga/engine.hpp"
+#include "ga/islands.hpp"
 
 namespace {
 
@@ -61,10 +64,35 @@ std::size_t allocations_of_run(std::size_t generations) {
   return after - before;
 }
 
+std::size_t allocations_of_island_run(std::size_t generations) {
+  const Bowl problem;
+  IslandGaConfig config;
+  config.ga.population_size = 22;
+  config.ga.generations = generations;
+  config.ga.seed = 17;
+  config.plan = {3, 0, 2};
+  const std::size_t before = g_allocations.load();
+  const IslandGaResult result = run_island_ga(problem, config);
+  const std::size_t after = g_allocations.load();
+  EXPECT_EQ(result.history.size(), 3U);
+  for (const std::vector<GenerationStats>& history : result.history)
+    EXPECT_EQ(history.size(), generations);
+  return after - before;
+}
+
 TEST(GaAlloc, GenerationsAllocateNothing) {
   common::set_default_jobs(1);
   const std::size_t short_run = allocations_of_run(10);
   const std::size_t long_run = allocations_of_run(40);
+  EXPECT_GT(short_run, 0U);
+  EXPECT_EQ(short_run, long_run)
+      << "heap allocations grew with the number of generations";
+}
+
+TEST(GaAlloc, IslandGenerationsAllocateNothing) {
+  common::set_default_jobs(1);
+  const std::size_t short_run = allocations_of_island_run(10);
+  const std::size_t long_run = allocations_of_island_run(40);
   EXPECT_GT(short_run, 0U);
   EXPECT_EQ(short_run, long_run)
       << "heap allocations grew with the number of generations";

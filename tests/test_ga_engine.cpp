@@ -1,6 +1,6 @@
-// Tests for ga/engine.hpp: convergence on known optima, elitism,
-// determinism and configuration validation.
-#include "ga/engine.hpp"
+// Tests for run_ga and the generation step of ga/engine.hpp: convergence
+// on known optima, elitism, determinism and configuration validation.
+#include "ga/islands.hpp"
 
 #include <gtest/gtest.h>
 

@@ -10,6 +10,7 @@
 // scripted through pipes and files.
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -391,10 +392,23 @@ double parse_state_double(const std::string& cell) {
   return v;
 }
 
+/// An island or member cell: a whole decimal integer and nothing else.
+std::size_t parse_state_index(const std::string& cell) {
+  std::size_t v = 0;
+  const char* last = cell.data() + cell.size();
+  const auto [ptr, ec] = std::from_chars(cell.data(), last, v);
+  if (ec != std::errc() || ptr != last)
+    throw std::runtime_error("optimize: bad index cell '" + cell +
+                             "' in state CSV");
+  return v;
+}
+
 /// Parses a (merged) state CSV back into a full island state. Every
 /// island in [0, islands) must carry exactly `population` members with
 /// `dim` genes; rows may arrive in any order (mcs_merge keeps shard
-/// slices contiguous, but the parser does not rely on it).
+/// slices contiguous, but the parser does not rely on it). A fitness must
+/// be finite or -inf, the only values ga::sanitize_fitness produces, and
+/// every gene must be finite.
 ga::IslandState parse_island_state(const std::string& csv_path,
                                    std::size_t islands, std::size_t population,
                                    std::size_t dim) {
@@ -411,8 +425,8 @@ ga::IslandState parse_island_state(const std::string& csv_path,
   for (const std::vector<std::string>& row : csv.rows) {
     if (row.size() != 3 + dim)
       throw std::runtime_error("optimize: ragged state CSV row");
-    const std::size_t island = std::stoul(row[0]);
-    const std::size_t member = std::stoul(row[1]);
+    const std::size_t island = parse_state_index(row[0]);
+    const std::size_t member = parse_state_index(row[1]);
     if (island >= islands || member >= population)
       throw std::runtime_error("optimize: state row " + row[0] + "," +
                                row[1] + " out of range");
@@ -422,9 +436,18 @@ ga::IslandState parse_island_state(const std::string& csv_path,
     seen[island][member] = true;
     ga::Individual& ind = state[island][member];
     ind.fitness = parse_state_double(row[2]);
+    if (ind.fitness != ga::sanitize_fitness(ind.fitness))
+      throw std::runtime_error("optimize: state row " + row[0] + "," +
+                               row[1] + " has fitness '" + row[2] +
+                               "', expected a finite value or -inf");
     ind.genes.resize(dim);
-    for (std::size_t g = 0; g < dim; ++g)
+    for (std::size_t g = 0; g < dim; ++g) {
       ind.genes[g] = parse_state_double(row[3 + g]);
+      if (!std::isfinite(ind.genes[g]))
+        throw std::runtime_error("optimize: state row " + row[0] + "," +
+                                 row[1] + " has non-finite gene '" +
+                                 row[3 + g] + "'");
+    }
     ind.evaluated = true;
   }
   for (std::size_t i = 0; i < islands; ++i)
@@ -449,9 +472,8 @@ int emit_assigned_taskset(mc::TaskSet tasks, const std::vector<double>& n,
                100.0 * breakdown.max_u_lc,
                breakdown.feasible ? "" : " [HC load infeasible]");
   if (stats != nullptr)
-    std::fprintf(stderr,
-                 "search: %zu evaluations, %zu memo hits, %zu misses\n",
-                 stats->evaluations, stats->cache_hits, stats->cache_misses);
+    std::fprintf(stderr, "search: %zu evaluations, %zu migrations\n",
+                 stats->evaluations, stats->migrations);
   return breakdown.feasible ? 0 : 1;
 }
 
@@ -542,11 +564,10 @@ int cmd_optimize(const std::string& path, int argc,
     if (epoch > 0)
       state = parse_island_state(state_in, islands, population, dim);
     const auto [begin, end] = shard.slice(islands);
-    ga::GenomeFitCache cache;
     ga::IslandStats stats;
     if (begin < end)
       ga::evolve_islands_epoch(*problem, island_config, epoch, state, begin,
-                               end, cache, stats, nullptr, nullptr);
+                               end, stats, nullptr, nullptr);
     return common::emit_csv(out_path,
                             render_island_state(state, begin, end, dim));
   }
@@ -564,9 +585,7 @@ int cmd_optimize(const std::string& path, int argc,
   config.islands = island_config.plan;
   const core::OptimizationResult best =
       core::optimize_multipliers_ga(tasks, config);
-  const bool island_path = islands > 1 || migration_interval > 0;
-  return emit_assigned_taskset(std::move(tasks), best.n,
-                               island_path ? &best.search : nullptr);
+  return emit_assigned_taskset(std::move(tasks), best.n, &best.search);
 }
 
 int cmd_simulate(const std::string& path, int argc,
