@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 
 namespace mcs::core {
 namespace {
@@ -351,6 +352,336 @@ TEST(ServeProtocol, HandleLineSurvivesHostileInput) {
       EXPECT_TRUE(shaped) << "line: " << line << " reply: " << reply;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Reply golden and mutation fuzz over one request corpus.
+
+using namespace std::string_literals;
+
+/// One script that reaches every verb and every session error row of
+/// docs/serve_protocol.md, plus the argument-shape corners: duplicate
+/// keys, known keys the verb does not allow, tokens without '=' or with an
+/// empty key, '=' inside values, all six whitespace bytes, NUL bytes,
+/// numbers strtod reads but from_chars does not, comments and blank lines.
+/// Run in order: the record, remove and tick lines refer to the residents
+/// the admit lines create. `min_jobs` is 4, so the drifted records reach
+/// tick's `reopt` lines.
+std::vector<std::string> serve_corpus() {
+  return {
+      "version",
+      "ping",
+      "stats",
+      "admit name=hc crit=HC wcet_lo=2 wcet_hi=4 period=20 acet=1.5 "
+      "sigma=0.3",
+      "admit name=hm crit=HC wcet_lo=2 wcet_hi=2.6 period=10 acet=1.6 "
+      "sigma=0.2 deadline=9",
+      "admit name=lc crit=LC wcet_lo=1 period=10",
+      "admit name=dl crit=LC wcet_lo=1 period=50 deadline=40",
+      "admit name=hog crit=LC wcet_lo=99 period=100",
+      "admit name=big crit=LC wcet_lo=1 period=1e12",
+      "admit name=hc crit=LC wcet_lo=1 period=10",
+      "admit name=z crit=LC wcet_lo=0 period=10",
+      "admit name=z crit=HC wcet_lo=5 wcet_hi=2 period=10",
+      "admit name=z crit=LC wcet_lo=1 period=10 deadline=0.5",
+      "admit",
+      "admit name= crit=LC wcet_lo=1 period=10",
+      "admit name=a crit=LC period=10",
+      "admit name=a wcet_lo=1 period=10",
+      "admit name=a crit=LC wcet_lo=1",
+      "admit name=a crit=medium wcet_lo=1 period=10",
+      "admit name=a crit= wcet_lo=1 period=10",
+      "admit name=a crit=hc wcet_lo=1 period=10",
+      "admit name=a crit=HC wcet_lo=1 period=10",
+      "admit name=a crit=HC wcet_lo=1 wcet_hi=x period=10",
+      "admit name=a crit=LC wcet_lo=1 wcet_hi=x period=1000",
+      "admit name=b crit=LC wcet_lo=3.5x period=10",
+      "admit name=b crit=LC wcet_lo=1 period=10ms",
+      "admit name=b crit=LC wcet_lo=1 period=10 deadline=8.0.1",
+      "admit name=b crit=LC wcet_lo=x period=y",
+      "admit name=b crit=HC wcet_lo=1 wcet_hi=2 period=100 acet=nan sigma=1",
+      "admit name=b crit=HC wcet_lo=1 wcet_hi=2 period=100 acet=1 sigma=inf",
+      "admit name=b crit=HC wcet_lo=1 wcet_hi=2 period=100 acet=x sigma=y",
+      "admit name=b crit=LC wcet_lo=1e999 period=10",
+      "admit name=b crit=LC wcet_lo=-1e999 period=10",
+      "admit name=b crit=LC wcet_lo= period=10",
+      "admit name=b crit=LC wcet_lo=1 period=10 bogus=3",
+      "admit name=b crit=LC wcet_lo=1 period=10 fast",
+      "admit name=b crit=LC wcet_lo=1 period=10 =7",
+      "admit name=b crit=LC wcet_lo=bad period=10 =7",
+      "admit name=b crit=LC wcet_lo=1 period=10 id=3",
+      "admit name=b crit=LC wcet_lo=1 period=10 time=3",
+      "admit Name=b crit=LC wcet_lo=1 period=10",
+      "admit name=b crit=LC WCET_LO=1 period=10",
+      "admit name=b crit=LC wcet_lo=1 period=10 wcet_lo=x bogus",
+      "admit name=c crit=LC wcet_lo=1 period=1000 wcet_lo=x",
+      "admit name=d crit=LC wcet_lo=bad period=1000 wcet_lo=1",
+      "admit name=e name=f crit=LC wcet_lo=1 period=1000",
+      "admit name=e crit=HC crit=LC wcet_lo=1 period=1000",
+      "admit name=g=h crit=LC wcet_lo=1 period=1000",
+      "admit name=i crit=LC wcet_lo=1=1 period=1000",
+      "admit name=j crit=LC wcet_lo==1 period=1000",
+      "admit name=k crit=LC wcet_lo=+1 period=0x1p10",
+      "admit name=l crit=LC wcet_lo=0X1.8P-1 period=1000 deadline=+1e3",
+      "admit name=m crit=LC wcet_lo=0x1p-1074 period=1000",
+      "admit name=m crit=LC wcet_lo=1e-310 period=1000",
+      "admit name=m crit=LC wcet_lo=2.2250738585072011e-308 period=1000",
+      "admit name=m crit=LC wcet_lo=2.2250738585072014e-308 period=1000",
+      "admit name=n crit=LC wcet_lo=0 period=1000",
+      "admit name=n crit=LC wcet_lo=1 period=-0",
+      "admit name=n crit=LC wcet_lo=.5 period=1000.",
+      "admit name=o crit=HC wcet_lo=1 wcet_hi=2 period=1000 acet=0 sigma=0",
+      "admit name=p crit=HC wcet_lo=1 wcet_hi=2 period=1000 sigma=0.1",
+      "admit name=q crit=LC wcet_lo=1 period=1000 acet=0.5",
+      "admit\tname=ws\vcrit=LC\fwcet_lo=1\rperiod=1000\n",
+      " \t\v\f\r\nadmit   name=ws2 crit=LC wcet_lo=1 period=1000 \t",
+      "admit name=nul crit=LC wcet_lo=1\0zz period=1000"s,
+      "admit name=nul crit=LC wcet_lo=1 period=1000\0"s,
+      "admit name=n\0l crit=LC wcet_lo=1 period=1000"s,
+      "admit name=\xff\x01 crit=LC wcet_lo=1 period=1000",
+      "record name=hc time=1.4",
+      "record id=1 time=1.6",
+      "record wcet_lo=1 id=1 time=2",
+      "record id=1 time=2 wcet_lo=1",
+      "record id=1 time=2 period",
+      "record id=1",
+      "record name=hc",
+      "record name=hc time=abc",
+      "record name=hc time=-1",
+      "record name=hc time=-0",
+      "record name=lc time=1",
+      "record name=ghost time=1",
+      "record name= time=1",
+      "record id=0 time=1",
+      "record id=1x time=1",
+      "record id=-1 time=1",
+      "record id=+1 time=1",
+      "record id=99 time=1",
+      "record id= time=1",
+      "record time=1",
+      "record",
+      "record id=1 time=0",
+      "record id=1 time=+1.5",
+      "record id=1 time=0x1.8p1",
+      "record id=1 time=1e-310",
+      "record id=1 time=1.5\0"s,
+      "record id=1 time=1 time=x",
+      "record id=1 id=x time=1",
+      "record id=x id=1 time=1",
+      "record name=hc id=x time=1",
+      "record name=ghost id=1 time=1",
+      "record id=00000000000000000001 time=1",
+      "record id=0000000000000000001 time=1.5",
+      "record id=2 time=3.5",
+      "record id=2 time=3.9",
+      "record id=2 time=4.2",
+      "record id=2 time=3.1",
+      "record id=2 time=2.5",
+      "record\tid=1\ttime=1.5",
+      "record id=1\vtime=1.5\f",
+      "tick",
+      "admit name=fill crit=LC wcet_lo=4.2 period=10",
+      "record id=1 time=3.9",
+      "record id=1 time=3.5",
+      "record id=1 time=3.8",
+      "record id=1 time=3.7",
+      "record id=2 time=1.6",
+      "tick",
+      "remove name=fill",
+      "tick",
+      "tick now",
+      "stats now",
+      "ping now",
+      "ping =",
+      "version x=1",
+      "quit please",
+      "shutdown now",
+      "frobnicate x=1",
+      "Admit name=x crit=LC wcet_lo=1 period=10",
+      "admit=1 name=x",
+      "pi\0ng"s,
+      "#admit name=x crit=LC wcet_lo=1 period=10",
+      "  # indented comment",
+      "#",
+      "",
+      " \t\v\f\r\n",
+      "\0"s,
+      "remove",
+      "remove gadget=1",
+      "remove time=1",
+      "remove name=lc bogus",
+      "remove id=0",
+      "remove id=1x",
+      "remove id=-1",
+      "remove id=99999999999999999999999",
+      "remove id=7777",
+      "remove name=ghost",
+      "remove name=lc",
+      "remove id=3",
+      "remove name=dl id=1",
+      "remove id=1 id=2",
+      "stats",
+      "tick",
+      "ping",
+      "quit",
+      "shutdown",
+  };
+}
+
+/// Byte-level mutation of one request line: one to three replacements,
+/// insertions, deletions or token duplications, biased towards the bytes
+/// the parser branches on (the six whitespace bytes, '=', '#', NUL and
+/// number characters).
+std::string mutate(const std::string& line, common::Rng& rng) {
+  static const std::string kPalette = " \t\n\v\f\r=#\0+-.0159eExpPinf_ad"s;
+  std::string s = line;
+  const auto pick = [&]() -> char {
+    if (rng.bernoulli(0.2))
+      return static_cast<char>(rng.uniform_u64(0, 255));
+    return kPalette[rng.uniform_u64(0, kPalette.size() - 1)];
+  };
+  for (std::uint64_t n = rng.uniform_u64(1, 3); n > 0; --n) {
+    const std::size_t at = s.empty() ? 0 : rng.uniform_u64(0, s.size() - 1);
+    switch (rng.uniform_u64(0, 3)) {
+      case 0:
+        if (!s.empty()) s[at] = pick();
+        break;
+      case 1:
+        s.insert(s.begin() + static_cast<std::ptrdiff_t>(at), pick());
+        break;
+      case 2:
+        if (!s.empty()) s.erase(at, 1);
+        break;
+      default: {
+        // Repeat the token around `at`, so a key appears twice.
+        std::size_t b = at;
+        while (b > 0 && !is_request_space(s[b - 1])) --b;
+        std::size_t e = at;
+        while (e < s.size() && !is_request_space(s[e])) ++e;
+        const std::string token = s.substr(b, e - b);
+        s.insert(e, token);
+        s.insert(e, 1, ' ');
+        break;
+      }
+    }
+  }
+  return s;
+}
+
+/// The two session shapes the golden and the fuzz drive: the monolithic
+/// front and a 3-core partitioned one (whose replies carry core= and
+/// probes=).
+std::vector<ServeSession::Config> corpus_configs() {
+  ServeSession::Config one;
+  one.min_jobs = 4;
+  ServeSession::Config three = one;
+  three.cores = 3;
+  return {one, three};
+}
+
+/// FNV-1a over every reply of the corpus, then of kMutantsPerLine seeded
+/// mutants of each corpus line, through a fresh session per config. Built
+/// and checked before the one-pass argument parser replaced the tokenizer:
+/// any change to a reply byte, an error message or which error wins flips
+/// the digest.
+constexpr std::uint64_t kGoldenServeReplies = 0xc7444e4ed5777b63ULL;
+constexpr std::uint64_t kMutantsPerLine = 40;
+
+TEST(ServeGolden, RepliesArePinned) {
+  const std::vector<std::string> corpus = serve_corpus();
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](const std::string& reply) {
+    for (const char c : reply + '\n') {
+      hash ^= static_cast<unsigned char>(c);
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  std::size_t replies = 0;
+  for (const ServeSession::Config& config : corpus_configs()) {
+    ServeSession session(config);
+    common::Rng rng(28);
+    for (const std::string& line : corpus) mix(session.handle_line(line));
+    for (const std::string& line : corpus)
+      for (std::uint64_t k = 0; k < kMutantsPerLine; ++k) {
+        mix(session.handle_line(mutate(line, rng)));
+        ++replies;
+      }
+  }
+  EXPECT_GT(replies, 10000U);
+  EXPECT_EQ(hash, kGoldenServeReplies) << std::hex << "0x" << hash;
+}
+
+/// The first whitespace-separated token of `line` ("" for a blank line).
+std::string_view verb_of(std::string_view line) {
+  std::size_t b = 0;
+  while (b < line.size() && is_request_space(line[b])) ++b;
+  std::size_t e = b;
+  while (e < line.size() && !is_request_space(line[e])) ++e;
+  return line.substr(b, e - b);
+}
+
+/// Checks one reply against the reply grammar of docs/serve_protocol.md;
+/// returns what is wrong with it, or "" when it conforms.
+std::string reply_violation(std::string_view line, const std::string& reply) {
+  const std::string_view verb = verb_of(line);
+  if (verb.empty() || verb[0] == '#')
+    return reply.empty() ? "" : "a blank or comment line answered";
+  if (reply.empty())
+    return verb == "record" ? "" : "a request other than record was silent";
+  if (reply.starts_with("err internal")) return "the session threw";
+  std::string_view last = reply;
+  if (const std::size_t nl = reply.rfind('\n'); nl != std::string::npos) {
+    // Only tick spans lines: reopt lines, then its closing ok tick line.
+    last = last.substr(nl + 1);
+    if (verb != "tick") return "a multi-line reply to a request other than tick";
+    for (std::size_t at = 0; at < nl + 1;
+         at = reply.find('\n', at) + 1)
+      if (reply.compare(at, 6, "reopt ") != 0) return "a tick line is not reopt";
+  }
+  if (verb == "tick" && last.starts_with("ok tick ")) return "";
+  for (const std::string_view prefix : {"ok ", "err ", "reject ", "stats "})
+    if (last.starts_with(prefix)) return "";
+  return "an undocumented reply prefix";
+}
+
+TEST(ServeFuzz, MutatedRequestsKeepTheReplyGrammar) {
+  // Seeded mutation fuzz of handle_line over the golden corpus: each round
+  // replays the corpus into a fresh session, then feeds it mutants of
+  // corpus lines and of earlier mutants. No request may throw, every
+  // reply must follow the reply grammar, and an err reply must leave the
+  // resident set as it was.
+  constexpr int kRounds = 10;
+  constexpr int kMutants = 20000;
+  const std::vector<std::string> corpus = serve_corpus();
+  std::size_t checked = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    for (const ServeSession::Config& config : corpus_configs()) {
+      ServeSession session(config);
+      common::Rng rng(common::index_seed(2828, static_cast<std::uint64_t>(round)));
+      for (const std::string& line : corpus) (void)session.handle_line(line);
+      std::string line;
+      for (int k = 0; k < kMutants; ++k) {
+        const bool again = !line.empty() && rng.bernoulli(0.3);
+        line = mutate(again ? line : corpus[rng.uniform_u64(0, corpus.size() - 1)],
+                      rng);
+        const std::size_t resident = session.front().resident_count();
+        std::string reply;
+        try {
+          reply = session.handle_line(line);
+        } catch (...) {
+          ADD_FAILURE() << "handle_line threw on: " << line;
+          continue;
+        }
+        std::string why = reply_violation(line, reply);
+        if (why.empty() && reply.starts_with("err ") &&
+            session.front().resident_count() != resident)
+          why = "an err reply changed the resident set";
+        ASSERT_EQ(why, "") << "line: " << line << "\nreply: " << reply;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, std::size_t{2} * kRounds * kMutants);
 }
 
 }  // namespace
