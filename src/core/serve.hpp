@@ -23,7 +23,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "core/online.hpp"
 #include "core/partitioned_admission.hpp"
@@ -78,7 +77,7 @@ class ServeSession {
 
   /// Handles one request line; returns the response text without a
   /// trailing newline ("" for silent lines). Never throws. A valid
-  /// `record id=` allocates nothing: tokens are views into `line`.
+  /// `record id=` allocates nothing: its arguments are read in place.
   std::string handle_line(std::string_view line);
 
   /// True once a `quit` or `shutdown` request was processed.
@@ -98,28 +97,28 @@ class ServeSession {
     double n_design = 0.0;  ///< multiplier implied by the admitted C^LO
   };
 
-  /// Whitespace-separated tokens of the current line (views into it).
-  using Tokens = std::vector<std::string_view>;
   using Entries = std::map<std::uint64_t, Entry>;
+  /// One request's arguments, classified by key in one pass over the line
+  /// (defined in serve.cpp).
+  struct Args;
 
-  std::string dispatch(const Tokens& tokens);
-  std::string handle_admit(const Tokens& tokens);
-  std::string handle_remove(const Tokens& tokens);
-  std::string handle_record(const Tokens& tokens);
+  /// Runs the request `verb` whose arguments are [args_begin, end).
+  std::string dispatch(std::string_view verb, const char* args_begin,
+                       const char* end);
+  std::string handle_admit(const Args& args);
+  std::string handle_remove(const Args& args);
+  std::string handle_record(const Args& args);
   std::string handle_tick();
   [[nodiscard]] std::string handle_stats() const;
   /// Resolves a `name=` or `id=` argument to its resident entry; returns
   /// entries_.end() and sets *error on failure.
-  [[nodiscard]] Entries::iterator resolve(const Tokens& tokens,
+  [[nodiscard]] Entries::iterator resolve(const Args& args,
                                           std::string* error);
 
   Config config_;
   PartitionedAdmission front_;
   Entries entries_;  ///< id order == admission order
   std::unordered_map<std::string, std::uint64_t> by_name_;
-  /// The current line's tokens, reused by every handle_line call. The
-  /// views are only read during the call that made them.
-  Tokens tokens_;
   bool closed_ = false;
 };
 

@@ -580,10 +580,9 @@ std::vector<ServeSession::Config> corpus_configs() {
 }
 
 /// FNV-1a over every reply of the corpus, then of kMutantsPerLine seeded
-/// mutants of each corpus line, through a fresh session per config. Built
-/// and checked before the one-pass argument parser replaced the tokenizer:
-/// any change to a reply byte, an error message or which error wins flips
-/// the digest.
+/// mutants of each corpus line, through a fresh session per config. Any
+/// change to a reply byte, an error message or which error wins flips the
+/// digest.
 constexpr std::uint64_t kGoldenServeReplies = 0xc7444e4ed5777b63ULL;
 constexpr std::uint64_t kMutantsPerLine = 40;
 
@@ -622,25 +621,26 @@ std::string_view verb_of(std::string_view line) {
 
 /// Checks one reply against the reply grammar of docs/serve_protocol.md;
 /// returns what is wrong with it, or "" when it conforms.
-std::string reply_violation(std::string_view line, const std::string& reply) {
+std::string reply_violation(std::string_view line, std::string_view reply) {
   const std::string_view verb = verb_of(line);
   if (verb.empty() || verb[0] == '#')
-    return reply.empty() ? "" : "a blank or comment line answered";
+    return reply.empty() ? "" : "a blank or comment line was answered";
   if (reply.empty())
     return verb == "record" ? "" : "a request other than record was silent";
   if (reply.starts_with("err internal")) return "the session threw";
-  std::string_view last = reply;
-  if (const std::size_t nl = reply.rfind('\n'); nl != std::string::npos) {
-    // Only tick spans lines: reopt lines, then its closing ok tick line.
-    last = last.substr(nl + 1);
-    if (verb != "tick") return "a multi-line reply to a request other than tick";
-    for (std::size_t at = 0; at < nl + 1;
-         at = reply.find('\n', at) + 1)
-      if (reply.compare(at, 6, "reopt ") != 0) return "a tick line is not reopt";
+  if (verb == "tick") {
+    // Only tick spans lines: reopt lines, then the closing line.
+    std::size_t at = 0;
+    for (std::size_t nl; (nl = reply.find('\n', at)) != reply.npos;
+         at = nl + 1)
+      if (!reply.substr(at).starts_with("reopt "))
+        return "a tick line before the last is not a reopt line";
+    reply = reply.substr(at);
   }
-  if (verb == "tick" && last.starts_with("ok tick ")) return "";
+  if (reply.find('\n') != reply.npos)
+    return "a request other than tick got more than one line";
   for (const std::string_view prefix : {"ok ", "err ", "reject ", "stats "})
-    if (last.starts_with(prefix)) return "";
+    if (reply.starts_with(prefix)) return "";
   return "an undocumented reply prefix";
 }
 
@@ -650,20 +650,20 @@ TEST(ServeFuzz, MutatedRequestsKeepTheReplyGrammar) {
   // corpus lines and of earlier mutants. No request may throw, every
   // reply must follow the reply grammar, and an err reply must leave the
   // resident set as it was.
-  constexpr int kRounds = 10;
-  constexpr int kMutants = 20000;
+  constexpr std::uint64_t kRounds = 10;
+  constexpr std::uint64_t kMutants = 20000;
   const std::vector<std::string> corpus = serve_corpus();
   std::size_t checked = 0;
-  for (int round = 0; round < kRounds; ++round) {
+  for (std::uint64_t round = 0; round < kRounds; ++round) {
     for (const ServeSession::Config& config : corpus_configs()) {
       ServeSession session(config);
-      common::Rng rng(common::index_seed(2828, static_cast<std::uint64_t>(round)));
+      common::Rng rng(common::index_seed(2828, round));
       for (const std::string& line : corpus) (void)session.handle_line(line);
       std::string line;
-      for (int k = 0; k < kMutants; ++k) {
+      for (std::uint64_t k = 0; k < kMutants; ++k) {
         const bool again = !line.empty() && rng.bernoulli(0.3);
-        line = mutate(again ? line : corpus[rng.uniform_u64(0, corpus.size() - 1)],
-                      rng);
+        line = mutate(
+            again ? line : corpus[rng.uniform_u64(0, corpus.size() - 1)], rng);
         const std::size_t resident = session.front().resident_count();
         std::string reply;
         try {
@@ -681,7 +681,7 @@ TEST(ServeFuzz, MutatedRequestsKeepTheReplyGrammar) {
       }
     }
   }
-  EXPECT_EQ(checked, std::size_t{2} * kRounds * kMutants);
+  EXPECT_EQ(checked, 2 * kRounds * kMutants);
 }
 
 }  // namespace
