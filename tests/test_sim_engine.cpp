@@ -556,11 +556,11 @@ TEST(Sim, Validation) {
 // sets of both design-flow families (the paper's task sizes and many small
 // tasks) at U 0.6-3.0 under a fixed Chebyshev assignment. Overloaded sets
 // simulated at x = 1 miss at D = T, exactly at their task's next release.
-// The configurations cover the three LC policies, jitter 0 and 0.5, both
-// back-switch rules, context- and mode-switch overheads, constrained
-// deadlines, virtual deadlines and the response reservoir. Any change to
-// the event core that moves one bit or one event flips the digest.
-constexpr std::uint64_t kGoldenSimOutputs = 0x79a6ac6f2d396299ULL;
+// The configurations cover both LC policies (drop-all and degrade), jitter
+// 0 and 0.5, both back-switch rules, constrained deadlines, virtual
+// deadlines and the response reservoir. Any change to the event core that
+// moves one bit or one event flips the digest.
+constexpr std::uint64_t kGoldenSimOutputs = 0xe877498ad9b5b147ULL;
 
 class Fnv {
  public:
@@ -581,8 +581,7 @@ class Fnv {
 
 void mix_result(const SimResult& r, Fnv& fnv) {
   const SimMetrics& m = r.metrics;
-  for (const double v : {m.horizon, m.busy_time, m.hi_mode_time,
-                         m.overhead_time})
+  for (const double v : {m.horizon, m.busy_time, m.hi_mode_time})
     fnv.mix(v);
   for (const std::uint64_t v :
        {m.hc_jobs_released, m.hc_jobs_completed, m.hc_jobs_overrun,
@@ -618,9 +617,8 @@ std::vector<mc::TaskSet> golden_sets() {
     double gap_max;
   };
   // The design-flow families draw WCET^pes/ACET gaps of 8-64, so even
-  // U = 3 sets are lightly loaded in practice and miss only behind the
-  // budget server; the third family's gaps of 1.5-3 overload the
-  // processor, so jobs expire under every policy.
+  // U = 3 sets are lightly loaded in practice; the third family's gaps of
+  // 1.5-3 overload the processor, so jobs expire under every policy.
   constexpr Family kFamilies[] = {
       {0.05, 0.25, 8.0, 64.0}, {0.02, 0.05, 8.0, 64.0}, {0.05, 0.25, 1.5, 3.0}};
   constexpr double kUBounds[] = {0.6, 1.2, 1.8, 2.4, 3.0};
@@ -653,8 +651,7 @@ std::vector<SimConfig> golden_configs() {
   base.trace_capacity = std::size_t{1} << 22;
   base.trace_dispatch = true;
   std::vector<SimConfig> configs;
-  for (const LcPolicy policy :
-       {LcPolicy::kDropAll, LcPolicy::kDegradeHalf, LcPolicy::kServer}) {
+  for (const LcPolicy policy : {LcPolicy::kDropAll, LcPolicy::kDegradeHalf}) {
     SimConfig c = base;
     c.lc_policy = policy;
     for (const double jitter : {0.0, 0.5}) {
@@ -667,10 +664,6 @@ std::vector<SimConfig> golden_configs() {
     }
     c.release_jitter = 0.0;
     c.back_switch = BackSwitchPolicy::kNoReadyHc;
-    SimConfig overheads = c;
-    overheads.context_switch_ms = 0.05;
-    overheads.mode_switch_ms = 0.5;
-    configs.push_back(overheads);
     SimConfig reservoir = c;
     reservoir.response_reservoir = 16;
     configs.push_back(reservoir);
