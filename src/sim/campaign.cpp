@@ -17,7 +17,6 @@ void SimMetricsAccumulator::add(const SimMetrics& m) {
   context_switches += m.context_switches;
   busy_time += m.busy_time;
   hi_mode_time += m.hi_mode_time;
-  overhead_time += m.overhead_time;
   horizon += m.horizon;
   hc_overrun_rate.add(m.hc_overrun_rate());
   lc_drop_rate.add(m.lc_drop_rate());
@@ -40,7 +39,6 @@ void SimMetricsAccumulator::merge(const SimMetricsAccumulator& other) {
   context_switches += other.context_switches;
   busy_time += other.busy_time;
   hi_mode_time += other.hi_mode_time;
-  overhead_time += other.overhead_time;
   horizon += other.horizon;
   hc_overrun_rate.merge(other.hc_overrun_rate);
   lc_drop_rate.merge(other.lc_drop_rate);

@@ -35,7 +35,6 @@ struct SimMetricsAccumulator {
   std::uint64_t context_switches = 0;
   double busy_time = 0.0;
   double hi_mode_time = 0.0;
-  double overhead_time = 0.0;
   double horizon = 0.0;  ///< summed simulated time
 
   // Per-set rate distributions (mean/stddev/min/max across sets).

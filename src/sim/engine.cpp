@@ -1,11 +1,11 @@
 #include "sim/engine.hpp"
 
 #include "common/reservoir.hpp"
-#include "common/thread_pool.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/trace_sink.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -93,16 +93,14 @@ common::Millis draw_execution_time(const mc::McTask& task,
 SimResult simulate(const mc::TaskSet& tasks, const SimConfig& config) {
   if (!tasks.valid())
     throw std::invalid_argument("simulate: invalid task set");
-  if (config.horizon <= 0.0)
-    throw std::invalid_argument("simulate: horizon must be > 0");
-  if (config.x <= 0.0 || config.x > 1.0)
+  // Each check is written so that NaN fails it.
+  if (!(config.horizon > 0.0 && std::isfinite(config.horizon)))
+    throw std::invalid_argument("simulate: horizon must be finite and > 0");
+  if (!(config.x > 0.0 && config.x <= 1.0))
     throw std::invalid_argument("simulate: x must be in (0, 1]");
-  if (config.lc_policy == LcPolicy::kServer &&
-      (config.server_capacity <= 0.0 || config.server_period <= 0.0))
+  if (!(config.release_jitter >= 0.0 && std::isfinite(config.release_jitter)))
     throw std::invalid_argument(
-        "simulate: server policy requires positive capacity and period");
-  if (config.release_jitter < 0.0)
-    throw std::invalid_argument("simulate: release_jitter must be >= 0");
+        "simulate: release_jitter must be finite and >= 0");
 
   SimResult result;
   result.trace = Trace(config.trace_capacity);
@@ -138,13 +136,8 @@ SimResult simulate(const mc::TaskSet& tasks, const SimConfig& config) {
   mc::Mode mode = mc::Mode::kLow;
   common::Millis now = 0.0;
   common::Millis hi_since = 0.0;
-  common::Millis pending_overhead = 0.0;
   std::size_t last_task = static_cast<std::size_t>(-1);
   common::Millis last_release = -1.0;
-  // LC budget server (LcPolicy::kServer): polling-style replenishment.
-  double server_budget = config.server_capacity;
-  common::Millis next_replenish = config.server_period;
-  const bool server_mode = config.lc_policy == LcPolicy::kServer;
   // Optional response-time reservoirs (one per task).
   std::vector<common::ReservoirSampler> response_samplers;
   if (config.response_reservoir > 0) {
@@ -161,7 +154,6 @@ SimResult simulate(const mc::TaskSet& tasks, const SimConfig& config) {
   std::uint64_t next_seq = 0;
   std::size_t live_total = 0;
   std::size_t live_hc = 0;
-  std::size_t live_lc = 0;
 
   auto alive = [&](const JobRef& ref) {
     const Job& job = arena[ref.slot];
@@ -182,7 +174,6 @@ SimResult simulate(const mc::TaskSet& tasks, const SimConfig& config) {
     free_slots.push_back(slot);
     --live_total;
     if (job.hc) --live_hc;
-    else --live_lc;
   };
 
   EventQueue<JobRef> hc_ready;  ///< keyed on the HC dispatch deadline
@@ -253,7 +244,7 @@ SimResult simulate(const mc::TaskSet& tasks, const SimConfig& config) {
 
       JobRef released{0, kNoJob};
       if (!hc && mode == mc::Mode::kHigh &&
-          config.lc_policy == LcPolicy::kDropAll) {  // server/degrade admit
+          config.lc_policy == LcPolicy::kDropAll) {  // degrade admits
         // LC releases are rejected outright while in HI mode: the job
         // never enters the queue, so it counts as a drop only — not a
         // deadline miss (see metrics.hpp).
@@ -289,7 +280,6 @@ SimResult simulate(const mc::TaskSet& tasks, const SimConfig& config) {
           ++live_hc;
         } else {
           lc_ready.push(job.deadline, released);
-          ++live_lc;
         }
         ++live_total;
         if (tracing) record_kind(now, TraceEventKind::kRelease, i);
@@ -347,12 +337,11 @@ SimResult simulate(const mc::TaskSet& tasks, const SimConfig& config) {
     mode = mc::Mode::kHigh;
     hi_since = now;
     ++m.mode_switches;
-    pending_overhead += config.mode_switch_ms;
     if (tracing)
       record_kind(now, TraceEventKind::kModeSwitchHi, overrun_task);
-    // HC budgets inflate to C^HI; LC jobs are dropped, degraded to half
-    // of the *remaining* budget, or left intact behind the budget server
-    // — visiting jobs in release order (the historical ready order).
+    // HC budgets inflate to C^HI; LC jobs are dropped or degraded to half
+    // of the *remaining* budget — visiting jobs in release order (the
+    // historical ready order).
     sweep_live_in_release_order();
     for (const std::uint32_t slot : sweep) {
       Job& job = arena[slot];
@@ -365,13 +354,10 @@ SimResult simulate(const mc::TaskSet& tasks, const SimConfig& config) {
         ++m.per_task[job.task].dropped;
         if (tracing) record_kind(now, TraceEventKind::kDropLc, job.task);
         kill(slot);
-      } else if (config.lc_policy == LcPolicy::kDegradeHalf &&
-                 !job.degraded) {
+      } else if (!job.degraded) {
         job.budget = job.exec_done + 0.5 * (job.budget - job.exec_done);
         job.degraded = true;
       }
-      // LcPolicy::kServer: nothing to do — LC jobs stay ready but execute
-      // through the server.
     }
     // HC dispatch deadlines change (virtual -> real): rebuild the HC heap
     // in release order so FIFO tie-breaking is preserved.
@@ -395,7 +381,6 @@ SimResult simulate(const mc::TaskSet& tasks, const SimConfig& config) {
     if (blocked) return;
     mode = mc::Mode::kLow;
     m.hi_mode_time += now - hi_since;
-    pending_overhead += config.mode_switch_ms;
     // Back in LO mode every guarantee is restored: still-pending LC jobs
     // degraded while the system was in HI mode get their full C^LO budget
     // back. Without this, jobs released under kDegradeHalf kept a halved
@@ -455,28 +440,7 @@ SimResult simulate(const mc::TaskSet& tasks, const SimConfig& config) {
         kill(ref.slot);
       }
     }
-    // Replenish the LC server at its period boundaries.
-    if (server_mode) {
-      while (next_replenish <= now + kTimeEps) {
-        server_budget = config.server_capacity;
-        next_replenish += config.server_period;
-      }
-    }
     maybe_switch_to_lo();
-
-    // Pay any accumulated overhead (mode-switch / context-switch costs)
-    // as processor time before dispatching.
-    if (pending_overhead > kTimeEps) {
-      const common::Millis step =
-          std::min(pending_overhead, config.horizon - now);
-      if (step <= kTimeEps) break;
-      now += step;
-      m.busy_time += step;
-      m.overhead_time += step;
-      pending_overhead -= step;
-      release_due_jobs();
-      continue;
-    }
 
     // EDF pick: each class heap yields its earliest effective deadline
     // (FIFO on ties); between the two class winners the historical fold
@@ -484,10 +448,8 @@ SimResult simulate(const mc::TaskSet& tasks, const SimConfig& config) {
     // earlier by more than eps.
     purge_ready(hc_ready, stale_hc);
     purge_ready(lc_ready, stale_lc);
-    const bool lc_blocked = server_mode && mode == mc::Mode::kHigh &&
-                            server_budget <= kTimeEps;
     const bool have_hc = !hc_ready.empty();
-    const bool have_lc = !lc_blocked && !lc_ready.empty();
+    const bool have_lc = !lc_ready.empty();
     JobRef current{};
     if (have_hc && have_lc) {
       const JobRef hc_top = hc_ready.peek();
@@ -503,11 +465,8 @@ SimResult simulate(const mc::TaskSet& tasks, const SimConfig& config) {
     } else if (have_lc) {
       current = lc_ready.peek();
     } else {
-      // Idle until the next release, the next server replenishment (when
-      // LC work is waiting on budget), or the horizon.
-      common::Millis t = std::min(next_release_time(), config.horizon);
-      const bool lc_waiting = lc_blocked && live_lc > 0;
-      if (lc_waiting) t = std::min(t, next_replenish);
+      // Idle until the next release or the horizon.
+      const common::Millis t = std::min(next_release_time(), config.horizon);
       if (t <= now + kTimeEps) break;  // nothing left to simulate
       now = t;
       release_due_jobs();
@@ -530,10 +489,6 @@ SimResult simulate(const mc::TaskSet& tasks, const SimConfig& config) {
       ++m.context_switches;
       last_task = job.task;
       last_release = job.release;
-      if (config.context_switch_ms > 0.0) {
-        pending_overhead += config.context_switch_ms;
-        continue;
-      }
     }
 
     // The job runs until the soonest of: completion, budget exhaustion
@@ -545,28 +500,10 @@ SimResult simulate(const mc::TaskSet& tasks, const SimConfig& config) {
     step = std::min(step, next_release_time() - now);
     if (!expiry.empty()) step = std::min(step, expiry.next_time() - now);
     step = std::min(step, config.horizon - now);
-    // LC execution in HI mode under the server consumes server budget and
-    // is interrupted by replenishment boundaries.
-    const bool on_server =
-        server_mode && !job.hc && mode == mc::Mode::kHigh;
-    if (on_server) {
-      step = std::min(step, server_budget);
-      step = std::min(step, next_replenish - now);
-    }
     step = std::max(step, 0.0);
 
     job.exec_done += step;
     m.busy_time += step;
-    if (on_server) {
-      server_budget -= step;
-      // Server slices carry their start time and duration so oracle
-      // tests can re-derive the budget trajectory and check replenishment
-      // boundaries without trusting server_budget itself.
-      if (tracing && config.trace_dispatch && step > kTimeEps)
-        record(TraceEvent{now, TraceEventKind::kServerSlice, job.task,
-                          /*hi_mode=*/true,
-                          /*virtual_deadline=*/false, job.release, step});
-    }
     now += step;
 
     if (job.exec_done + kTimeEps >= job.exec_total) {
@@ -621,52 +558,6 @@ SimResult simulate(const mc::TaskSet& tasks, const SimConfig& config) {
     }
   }
   if (sink) sink->close();  // surface any writer-thread I/O failure
-  return result;
-}
-
-MulticoreSimResult simulate_partitioned(const std::vector<mc::TaskSet>& cores,
-                                        const std::vector<double>& xs,
-                                        const SimConfig& config) {
-  if (cores.size() != xs.size())
-    throw std::invalid_argument(
-        "simulate_partitioned: one x factor per core required");
-  MulticoreSimResult result;
-  result.combined.horizon = config.horizon;
-  // Each core's simulation owns an independent seed, so the cores run in
-  // parallel; the combined metrics are reduced in core order below, which
-  // keeps the result bit-identical to the serial loop at any job count.
-  result.cores = common::parallel_map(cores.size(), [&](std::size_t c) {
-    if (cores[c].empty()) return SimResult();
-    SimConfig core_config = config;
-    core_config.x = xs[c];
-    core_config.seed = config.seed + 0x9E37'79B9U * (c + 1);
-    if (!config.trace_binary_path.empty())
-      core_config.trace_binary_path =
-          config.trace_binary_path + ".core" + std::to_string(c);
-    return simulate(cores[c], core_config);
-  });
-  for (std::size_t c = 0; c < cores.size(); ++c) {
-    if (cores[c].empty()) continue;
-    const SimMetrics& m = result.cores[c].metrics;
-    result.combined.busy_time += m.busy_time;
-    result.combined.hi_mode_time += m.hi_mode_time;
-    result.combined.hc_jobs_released += m.hc_jobs_released;
-    result.combined.hc_jobs_completed += m.hc_jobs_completed;
-    result.combined.hc_jobs_overrun += m.hc_jobs_overrun;
-    result.combined.hc_deadline_misses += m.hc_deadline_misses;
-    result.combined.lc_jobs_released += m.lc_jobs_released;
-    result.combined.lc_jobs_completed += m.lc_jobs_completed;
-    result.combined.lc_jobs_dropped += m.lc_jobs_dropped;
-    result.combined.lc_jobs_degraded += m.lc_jobs_degraded;
-    result.combined.lc_deadline_misses += m.lc_deadline_misses;
-    result.combined.mode_switches += m.mode_switches;
-    result.combined.context_switches += m.context_switches;
-    result.combined.overhead_time += m.overhead_time;
-    // Per-task stats concatenate in core order, preserving response data
-    // (see MulticoreSimResult::combined).
-    result.combined.per_task.insert(result.combined.per_task.end(),
-                                    m.per_task.begin(), m.per_task.end());
-  }
   return result;
 }
 

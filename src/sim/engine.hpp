@@ -31,9 +31,6 @@ namespace mcs::sim {
 enum class LcPolicy {
   kDropAll,     ///< Baruah [1]: drop ready LC jobs, reject LC releases
   kDegradeHalf, ///< Liu [2]: LC jobs continue/admit with 50% budgets
-  kServer,      ///< budget server ([15]/[16]-style): LC work shares a
-                ///< replenishing budget of `server_capacity` per
-                ///< `server_period` while in HI mode
 };
 
 /// When the system returns from HI to LO mode.
@@ -58,7 +55,6 @@ struct SimConfig {
   /// When non-empty, stream every trace event (independent of
   /// trace_capacity) to this file in the compact binary format decoded by
   /// tools/mcs_trace, via an asynchronous writer thread (trace_sink.hpp).
-  /// simulate_partitioned() appends ".core<i>" per core.
   std::string trace_binary_path;
   /// Also record kDispatch (every scheduler pick, with the deadline the
   /// EDF comparison actually used) and kBudgetRestore (every degraded LC
@@ -70,18 +66,6 @@ struct SimConfig {
   /// fraction of the budget.
   double exec_fraction_lo = 0.4;
   double exec_fraction_hi = 1.0;
-  /// Scheduling overheads (ms), charged as extra demand: every dispatch
-  /// of a different job costs `context_switch_ms`; every LO->HI or HI->LO
-  /// transition costs `mode_switch_ms`. Defaults are the paper's
-  /// (implicit) zero-overhead model.
-  double context_switch_ms = 0.0;
-  double mode_switch_ms = 0.0;
-  /// LcPolicy::kServer parameters: LC demand served in HI mode is capped
-  /// at `server_capacity` ms per `server_period` ms window. The server's
-  /// HI-mode utilization (capacity/period) must be budgeted into the
-  /// schedulability analysis by the caller (treat it as extra U_HC^HI).
-  double server_capacity = 5.0;
-  double server_period = 100.0;
   /// Sporadic arrivals: each release is delayed by U(0, jitter * period)
   /// past its minimal inter-arrival instant (0 = strictly periodic, the
   /// paper's model). The periodic analyses remain sufficient for sporadic
@@ -99,27 +83,10 @@ struct SimResult {
 };
 
 /// Simulates `tasks` under the paper's operational model. Requires a valid
-/// task set and horizon > 0. Jobs are released synchronously at t = 0 and
-/// strictly periodically afterwards (plus optional sporadic jitter).
+/// task set, a finite horizon > 0, x in (0, 1] and a finite release jitter
+/// >= 0 (NaN fails each check). Jobs are released synchronously at t = 0
+/// and strictly periodically afterwards (plus optional sporadic jitter).
 [[nodiscard]] SimResult simulate(const mc::TaskSet& tasks,
                                  const SimConfig& config);
-
-/// Result of a partitioned multicore simulation.
-struct MulticoreSimResult {
-  std::vector<SimResult> cores;  ///< one run per core
-  /// Aggregate counters over all cores. `combined.per_task` concatenates
-  /// the per-core task stats in core order (skipping empty cores), so
-  /// response/max-response data survives aggregation; its indices follow
-  /// that concatenated order, not any original pre-partition numbering.
-  SimMetrics combined;
-};
-
-/// Simulates every core of a partitioned system independently (partitioned
-/// scheduling has no cross-core interference). The virtual-deadline factor
-/// is taken per core from `xs` (one entry per task set); each core's seed
-/// is derived from config.seed so runs stay deterministic.
-[[nodiscard]] MulticoreSimResult simulate_partitioned(
-    const std::vector<mc::TaskSet>& cores, const std::vector<double>& xs,
-    const SimConfig& config);
 
 }  // namespace mcs::sim

@@ -69,7 +69,6 @@ struct SimMetrics {
 
   std::uint64_t mode_switches = 0;    ///< LO -> HI transitions
   std::uint64_t context_switches = 0; ///< dispatches of a different job
-  common::Millis overhead_time = 0.0; ///< time lost to modelled overheads
 
   /// Indexed like the simulated task set.
   std::vector<TaskSimStats> per_task;

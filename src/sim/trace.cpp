@@ -17,7 +17,6 @@ const char* to_string(TraceEventKind kind) {
     case TraceEventKind::kDeadlineMiss: return "deadline-miss";
     case TraceEventKind::kDispatch: return "dispatch";
     case TraceEventKind::kBudgetRestore: return "budget-restore";
-    case TraceEventKind::kServerSlice: return "server-slice";
   }
   return "?";
 }

@@ -29,7 +29,6 @@ enum class TraceEventKind {
   kDeadlineMiss,
   kDispatch,       ///< scheduler picked a job (SimConfig::trace_dispatch)
   kBudgetRestore,  ///< degraded LC budget restored at the HI->LO switch
-  kServerSlice,    ///< LC execution through the HI-mode budget server
 };
 
 /// Human-readable name of a trace event kind.
@@ -43,17 +42,15 @@ struct TraceEvent {
   common::Millis time = 0.0;
   TraceEventKind kind = TraceEventKind::kRelease;
   std::uint32_t task = kNoTraceTask;  ///< task-set index (kNoTraceTask = none)
-  // Extended fields, populated only by the kDispatch / kBudgetRestore /
-  // kServerSlice events emitted under SimConfig::trace_dispatch. They
-  // expose the scheduler's actual decision inputs so oracle tests can
-  // re-derive the expected values from the task set and compare.
+  // Extended fields, populated only by the kDispatch / kBudgetRestore
+  // events emitted under SimConfig::trace_dispatch. They expose the
+  // scheduler's actual decision inputs so oracle tests can re-derive the
+  // expected values from the task set and compare.
   bool hi_mode = false;           ///< system mode at the event (true = HI)
   bool virtual_deadline = false;  ///< dispatch keyed on the virtual deadline
   common::Millis release = 0.0;   ///< releasing instant of the job
   double value = 0.0;  ///< kDispatch: absolute deadline the EDF pick used;
-                       ///< kBudgetRestore: the restored budget (ms);
-                       ///< kServerSlice: the slice duration (ms, the
-                       ///< event's `time` is the slice start)
+                       ///< kBudgetRestore: the restored budget (ms)
 };
 
 /// Renders events as one line per event ("[t ms] kind name"), the shared

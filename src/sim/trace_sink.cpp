@@ -105,6 +105,10 @@ DecodedTrace read_binary_trace(const std::string& path) {
                              path);
   const auto task_count = read_value<std::uint32_t>(bytes, at);
   at += sizeof(std::uint32_t);
+  // Every name carries at least its length field, so a count the
+  // remaining bytes cannot hold is a truncated (or corrupt) header; check
+  // before reserving, or a hostile count asks for gigabytes.
+  need(std::size_t{task_count} * sizeof(std::uint32_t));
 
   DecodedTrace trace;
   trace.task_names.reserve(task_count);
@@ -126,6 +130,9 @@ DecodedTrace read_binary_trace(const std::string& path) {
     e.time = read_value<double>(bytes, at);
     const auto kind = read_value<std::uint8_t>(bytes, at + 8);
     const auto flags = read_value<std::uint8_t>(bytes, at + 9);
+    if (kind > static_cast<std::uint8_t>(TraceEventKind::kBudgetRestore))
+      throw std::runtime_error("read_binary_trace: unknown event kind " +
+                               std::to_string(kind) + " in " + path);
     e.kind = static_cast<TraceEventKind>(kind);
     e.hi_mode = (flags & 1U) != 0;
     e.virtual_deadline = (flags & 2U) != 0;

@@ -14,7 +14,10 @@
 //            then per task: u32 name length + raw name bytes
 //   records: f64 time | u8 kind | u8 flags (bit0 hi_mode, bit1
 //            virtual_deadline) | u32 task | f64 release | f64 value
-// The record count is implied by the file length.
+// The record count is implied by the file length. The kind byte is the
+// TraceEventKind value, 0 (kRelease) through 10 (kBudgetRestore); the
+// decoder rejects any other byte, and a task count larger than the bytes
+// left can hold (4 per name at least) reads as a truncated header.
 #pragma once
 
 #include <atomic>
@@ -42,7 +45,8 @@ struct DecodedTrace {
 void encode_trace_event(const TraceEvent& event, std::vector<std::uint8_t>& out);
 
 /// Reads a whole binary trace file back. Throws std::runtime_error on a
-/// missing file, bad magic/version, or a truncated header/record.
+/// missing file, bad magic/version, a truncated header/record, or an
+/// unknown event kind.
 [[nodiscard]] DecodedTrace read_binary_trace(const std::string& path);
 
 /// Consumer-thread sink: record() on the simulation thread, bytes on disk

@@ -1,8 +1,7 @@
 // Determinism contract tests: every parallelized pipeline (measurement
-// campaigns, GA, Monte Carlo sweeps, experiment drivers, partitioned
-// simulation) must produce bit-identical results across the --jobs
-// matrix {1, 2, 8}, across repeated runs, and across chunked vs
-// unchunked dispatch.
+// campaigns, GA, Monte Carlo sweeps, experiment drivers) must produce
+// bit-identical results across the --jobs matrix {1, 2, 8}, across
+// repeated runs, and across chunked vs unchunked dispatch.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -11,6 +10,7 @@
 #include "apps/measurement.hpp"
 #include "apps/registry.hpp"
 #include "common/executor.hpp"
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/acceptance.hpp"
 #include "core/comparison.hpp"
@@ -22,8 +22,6 @@
 #include "exp/table1.hpp"
 #include "exp/table2.hpp"
 #include "ga/islands.hpp"
-#include "sim/engine.hpp"
-#include "taskgen/generator.hpp"
 
 namespace mcs {
 namespace {
@@ -289,31 +287,6 @@ TEST(Determinism, AssignmentMethodsBitIdenticalAcrossJobs) {
     for (std::size_t m = 0; m < stitched[k].methods.size(); ++m)
       EXPECT_EQ(stitched[k].methods[m].wcet_opt,
                 results[0][k].methods[m].wcet_opt);
-  }
-}
-
-TEST(Determinism, PartitionedSimBitIdenticalAcrossJobs) {
-  // Two synthetic cores with stochastic demand; the per-core seeds are
-  // index-derived, so parallel core simulation must match serial exactly.
-  taskgen::GeneratorConfig gen;
-  common::Rng rng(59);
-  std::vector<mc::TaskSet> cores;
-  cores.push_back(taskgen::generate_mixed(gen, 0.6, rng));
-  cores.push_back(taskgen::generate_mixed(gen, 0.7, rng));
-  const std::vector<double> xs = {0.8, 0.9};
-  sim::SimConfig config;
-  config.horizon = 20000.0;
-  config.seed = 61;
-  const auto results = serial_and_parallel(
-      [&] { return sim::simulate_partitioned(cores, xs, config); });
-  for (std::size_t r = 1; r < results.size(); ++r) {
-    EXPECT_EQ(results[0].combined.busy_time, results[r].combined.busy_time);
-    EXPECT_EQ(results[0].combined.mode_switches,
-              results[r].combined.mode_switches);
-    EXPECT_EQ(results[0].combined.lc_jobs_dropped,
-              results[r].combined.lc_jobs_dropped);
-    EXPECT_EQ(results[0].combined.hc_jobs_completed,
-              results[r].combined.hc_jobs_completed);
   }
 }
 

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -202,8 +201,7 @@ TEST(SimOracle, PerTaskAccountingIdentityHolds) {
   // to the matching global counters. This pins the fix for expired
   // pending jobs, which used to vanish from all per-task accounting (and
   // from lc_jobs_dropped).
-  for (const LcPolicy policy :
-       {LcPolicy::kDropAll, LcPolicy::kDegradeHalf, LcPolicy::kServer}) {
+  for (const LcPolicy policy : {LcPolicy::kDropAll, LcPolicy::kDegradeHalf}) {
     std::uint64_t dropped_total = 0;
     std::uint64_t missed_total = 0;
     for (std::uint64_t s = 0; s < 60; ++s) {
@@ -218,10 +216,6 @@ TEST(SimOracle, PerTaskAccountingIdentityHolds) {
       config.x = 1.0;
       config.seed = 4000 + s;
       config.lc_policy = policy;
-      if (policy == LcPolicy::kServer) {
-        config.server_capacity = 5.0;
-        config.server_period = 50.0;
-      }
       const SimResult r = simulate(tasks, config);
       const SimMetrics& m = r.metrics;
       std::uint64_t released = 0;
@@ -390,75 +384,6 @@ TEST(SimOracle, ConstrainedDeadlineDispatchKeysUseTheOverride) {
   EXPECT_GT(hi_dispatches, 0U);
 }
 
-TEST(SimOracle, ServerSlicesRespectBudgetAndReplenishment) {
-  // Oracle (e), LcPolicy::kServer: re-derive the budget server's state
-  // from the recorded server slices alone and check the model's three
-  // promises — LC work in HI mode runs only through the server, a
-  // replenishment interval [k*P, (k+1)*P) never serves more than the
-  // capacity, and no slice spans a replenishment boundary. Also demands
-  // at least one slice starting exactly at a boundary: LC work blocked
-  // on an exhausted budget must wake at the next replenishment, not at
-  // the next task release.
-  std::size_t slices = 0;
-  std::size_t boundary_wakes = 0;
-  for (std::uint64_t s = 0; s < 60; ++s) {
-    const double u_bound = 0.5 + 0.15 * static_cast<double>(s % 3);
-    const mc::TaskSet tasks = make_assigned_set(s, u_bound, 0.5);
-    if (tasks.count(mc::Criticality::kLow) == 0 ||
-        tasks.count(mc::Criticality::kHigh) == 0)
-      continue;
-    SimConfig config;
-    config.horizon = 10000.0;
-    config.x = 1.0;
-    config.seed = 5000 + s;
-    config.lc_policy = LcPolicy::kServer;
-    // A tight server: exhaustion (and therefore blocked LC work waiting
-    // on a replenishment) is common. The idle-instant back-switch keeps
-    // the system in HI mode while LC jobs are still pending, so blocked
-    // LC work actually idles on the server instead of riding a quick
-    // HI -> LO switch back to normal EDF.
-    config.server_capacity = 2.0;
-    config.server_period = 40.0;
-    config.back_switch = BackSwitchPolicy::kIdleInstant;
-    config.trace_capacity = 200000;
-    config.trace_dispatch = true;
-    const SimResult r = simulate(tasks, config);
-    // Served time per replenishment interval, keyed by floor(t / P).
-    std::unordered_map<std::uint64_t, double> served;
-    for (const TraceEvent& event : r.trace.events()) {
-      if (event.kind != TraceEventKind::kServerSlice) continue;
-      ++slices;
-      ASSERT_LT(event.task, tasks.size()) << "set " << s;
-      EXPECT_EQ(tasks[event.task].criticality, mc::Criticality::kLow)
-          << "set " << s << " task " << tasks[event.task].name;
-      EXPECT_TRUE(event.hi_mode)
-          << "server slices exist only in HI mode (set " << s << ")";
-      EXPECT_GT(event.value, 0.0);
-      const double start = event.time;
-      const double end = start + event.value;
-      const auto interval = static_cast<std::uint64_t>(
-          (start + kEps) / config.server_period);
-      // The slice must end at or before the interval's replenishment.
-      EXPECT_LE(end, static_cast<double>(interval + 1) *
-                             config.server_period +
-                         kEps)
-          << "set " << s << " slice at " << start << " spans a boundary";
-      served[interval] += event.value;
-      const double offset =
-          start - static_cast<double>(interval) * config.server_period;
-      if (interval > 0 && offset <= kEps) ++boundary_wakes;
-    }
-    for (const auto& [interval, total] : served) {
-      EXPECT_LE(total, config.server_capacity + kEps)
-          << "set " << s << " interval " << interval
-          << " served more than the capacity";
-    }
-  }
-  EXPECT_GT(slices, 0U);
-  EXPECT_GT(boundary_wakes, 0U)
-      << "no blocked LC job was observed waking at a replenishment";
-}
-
 TEST(SimOracle, TracingOffRecordsNoDispatchEvents) {
   // Regression: the oracle hooks must be invisible unless opted into —
   // both with trace_dispatch unset (default) and with tracing disabled.
@@ -467,14 +392,11 @@ TEST(SimOracle, TracingOffRecordsNoDispatchEvents) {
   config.horizon = 5000.0;
   config.seed = 7;
   config.trace_capacity = 100000;  // tracing on, dispatch opt-out
-  config.lc_policy = LcPolicy::kServer;  // exercise the server slices too
-  config.server_capacity = 2.0;
-  config.server_period = 40.0;
+  config.lc_policy = LcPolicy::kDegradeHalf;  // budgets get restored
   const SimResult r = simulate(tasks, config);
   for (const TraceEvent& event : r.trace.events()) {
     EXPECT_NE(event.kind, TraceEventKind::kDispatch);
     EXPECT_NE(event.kind, TraceEventKind::kBudgetRestore);
-    EXPECT_NE(event.kind, TraceEventKind::kServerSlice);
   }
 }
 

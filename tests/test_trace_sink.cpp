@@ -1,20 +1,26 @@
 // Tests for sim/trace_sink.hpp: the binary trace codec, the asynchronous
-// file sink, and the engine integration that streams a full event log to
-// disk regardless of the in-memory trace capacity.
+// file sink, the engine integration that streams a full event log to
+// disk regardless of the in-memory trace capacity, and a seeded mutation
+// fuzz of the decoder.
 #include "sim/trace_sink.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "mc/taskset.hpp"
 #include "sim/engine.hpp"
 #include "sim/trace.hpp"
+#include "stats/distributions.hpp"
 
 namespace mcs::sim {
 namespace {
@@ -22,6 +28,28 @@ namespace {
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + name;
 }
+
+std::vector<std::uint8_t> read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path,
+                 const std::vector<std::uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+void put_u32(std::vector<std::uint8_t>& bytes, std::size_t at,
+             std::uint32_t value) {
+  std::memcpy(bytes.data() + at, &value, sizeof value);
+}
+
+/// Offset of the header's task-count field.
+constexpr std::size_t kTaskCountAt = 12;
+constexpr std::size_t kRecordBytes = 30;
 
 std::vector<TraceEvent> sample_events() {
   std::vector<TraceEvent> events;
@@ -208,6 +236,153 @@ TEST(TraceSink, TruncatedRecordThrows) {
   }
   EXPECT_THROW((void)read_binary_trace(path), std::runtime_error);
   std::remove(path.c_str());
+}
+
+TEST(TraceSink, TaskCountBeyondTheFileThrows) {
+  // Regression: the decoder reserved the header's task count before it
+  // read a name, so a 16-byte file claiming 0xFFFFFFFF tasks asked for
+  // about 137 GB and died in std::bad_alloc. Every name carries at least
+  // its 4-byte length field, so the count is checked against the bytes
+  // left first.
+  const std::string path = temp_path("trace_task_count.bin");
+  std::vector<std::uint8_t> bytes = encode_trace_header({});
+  ASSERT_EQ(bytes.size(), 16U);
+  put_u32(bytes, kTaskCountAt, 0xFFFF'FFFFu);
+  write_bytes(path, bytes);
+  EXPECT_THROW((void)read_binary_trace(path), std::runtime_error);
+  // The bound is exact: three empty names fill exactly three length
+  // fields, and a fourth claimed name is one field short.
+  bytes = encode_trace_header({"", "", ""});
+  write_bytes(path, bytes);
+  EXPECT_EQ(read_binary_trace(path).task_names.size(), 3U);
+  put_u32(bytes, kTaskCountAt, 4);
+  write_bytes(path, bytes);
+  EXPECT_THROW((void)read_binary_trace(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(TraceSink, UnknownKindByteThrows) {
+  // Regression: any kind byte decoded, and one past kBudgetRestore
+  // rendered as "?". 11 is the code of the retired budget-server slice
+  // kind, so an old file that used it is rejected too.
+  const std::string path = temp_path("trace_unknown_kind.bin");
+  const std::vector<std::uint8_t> header = encode_trace_header({"a"});
+  TraceEvent event;
+  event.time = 1.0;
+  event.task = 0;
+  for (const int kind : {11, 200, 255}) {
+    std::vector<std::uint8_t> bytes = header;
+    encode_trace_event(event, bytes);
+    bytes[header.size() + 8] = static_cast<std::uint8_t>(kind);
+    write_bytes(path, bytes);
+    EXPECT_THROW((void)read_binary_trace(path), std::runtime_error)
+        << "kind byte " << kind;
+  }
+  // The last known kind still decodes.
+  event.kind = TraceEventKind::kBudgetRestore;
+  std::vector<std::uint8_t> bytes = header;
+  encode_trace_event(event, bytes);
+  write_bytes(path, bytes);
+  const DecodedTrace decoded = read_binary_trace(path);
+  ASSERT_EQ(decoded.events.size(), 1U);
+  EXPECT_EQ(decoded.events[0].kind, TraceEventKind::kBudgetRestore);
+  std::remove(path.c_str());
+}
+
+TEST(TraceFuzz, MutatedFilesDecodeOrThrow) {
+  // Seeded mutation fuzz of read_binary_trace over the file of a short
+  // simulation with dispatch tracing on: byte flips, truncations, and
+  // edits of the header's length fields. Each mutant must either throw
+  // std::runtime_error or decode to exactly one event per 30-byte record
+  // after the header it read, every event of a known kind. Any other
+  // exception (std::bad_alloc from a hostile count) fails the test.
+  mc::TaskSet tasks;
+  mc::McTask h = mc::McTask::high("h", 10.0, 40.0, 100.0);
+  mc::ExecutionStats stats;
+  stats.acet = 34.0;
+  stats.sigma = 2.0;
+  // Every job overruns C^LO, so the file holds mode switches, degraded
+  // LC drops and budget restores as well as dispatches.
+  stats.distribution = std::make_shared<stats::UniformDistribution>(30.0, 38.0);
+  h.stats = stats;
+  tasks.add(h);
+  tasks.add(mc::McTask::low("lc", 20.0, 50.0));
+  tasks.add(mc::McTask::low("lc-with-a-longer-name", 5.0, 70.0));
+  SimConfig config;
+  config.horizon = 600.0;
+  config.lc_policy = LcPolicy::kDegradeHalf;
+  config.trace_dispatch = true;
+  config.trace_binary_path = temp_path("trace_fuzz_seed.bin");
+  (void)simulate(tasks, config);
+  const std::vector<std::uint8_t> original =
+      read_bytes(config.trace_binary_path);
+  std::remove(config.trace_binary_path.c_str());
+
+  // The header's length fields: the task count, then each name's length.
+  std::vector<std::size_t> length_fields = {kTaskCountAt};
+  std::size_t header = kTaskCountAt + 4;
+  for (const mc::McTask& task : tasks) {
+    length_fields.push_back(header);
+    header += 4 + task.name.size();
+  }
+  ASSERT_EQ((original.size() - header) % kRecordBytes, 0U);
+  ASSERT_GE((original.size() - header) / kRecordBytes, 50U);
+
+  const std::string path = temp_path("trace_fuzz.bin");
+  common::Rng rng(2929);
+  constexpr std::size_t kMutants = 4000;
+  std::size_t decoded = 0;
+  std::size_t rejected = 0;
+  for (std::size_t k = 0; k < kMutants; ++k) {
+    std::vector<std::uint8_t> bytes = original;
+    switch (rng.uniform_u64(0, 2)) {
+      case 0:  // flip 1-4 bytes anywhere
+        for (std::uint64_t n = rng.uniform_u64(1, 4); n > 0; --n)
+          bytes[rng.uniform_u64(0, bytes.size() - 1)] ^=
+              static_cast<std::uint8_t>(rng.uniform_u64(1, 255));
+        break;
+      case 1:  // truncate
+        bytes.resize(rng.uniform_u64(0, bytes.size() - 1));
+        break;
+      default: {  // rewrite one length field
+        const std::size_t at =
+            length_fields[rng.uniform_u64(0, length_fields.size() - 1)];
+        std::uint32_t value = 0;
+        std::memcpy(&value, bytes.data() + at, sizeof value);
+        const std::uint32_t choices[] = {
+            0,
+            value + 1,
+            value - 1,
+            0x7FFF'FFFFu,
+            0xFFFF'FFFFu,
+            static_cast<std::uint32_t>(rng.uniform_u64(0, bytes.size()))};
+        put_u32(bytes, at, choices[rng.uniform_u64(0, 5)]);
+        break;
+      }
+    }
+    write_bytes(path, bytes);
+    DecodedTrace trace;
+    try {
+      trace = read_binary_trace(path);
+    } catch (const std::runtime_error&) {
+      ++rejected;
+      continue;
+    }
+    std::size_t read = kTaskCountAt + 4;
+    for (const std::string& name : trace.task_names) read += 4 + name.size();
+    ASSERT_LE(read, bytes.size()) << "mutant " << k;
+    ASSERT_EQ(trace.events.size() * kRecordBytes, bytes.size() - read)
+        << "mutant " << k;
+    for (const TraceEvent& e : trace.events)
+      ASSERT_LE(static_cast<int>(e.kind),
+                static_cast<int>(TraceEventKind::kBudgetRestore))
+          << "mutant " << k;
+    ++decoded;
+  }
+  std::remove(path.c_str());
+  // Both outcomes must be common, or the fuzz exercised one path only.
+  EXPECT_GT(decoded, kMutants / 10);
+  EXPECT_GT(rejected, kMutants / 10);
 }
 
 TEST(TraceSink, UnwritablePathThrowsOnConstruction) {
