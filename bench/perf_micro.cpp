@@ -154,12 +154,10 @@ sched::HcTaskProfile policy_profile(const std::vector<double>& xs) {
   return profile;
 }
 
-// The measurement-based policies memoize the fit per sample vector
-// (SampleFitCache). The *Cached variants reuse one policy instance — the
-// sweep-loop shape — so only the first iteration pays the O(m log m)
-// fit; the *Refit variants construct a fresh policy per iteration to
-// show the un-memoized cost the cache removes.
-void BM_QuantilePolicyCached(benchmark::State& state) {
+// The measurement-based policies fit their samples on every call: an
+// O(m log m) sort for the quantile, block maxima plus a Gumbel fit for
+// EVT.
+void BM_QuantilePolicy(benchmark::State& state) {
   const std::vector<double> xs =
       policy_samples(static_cast<std::size_t>(state.range(0)));
   const sched::HcTaskProfile profile = policy_profile(xs);
@@ -168,21 +166,9 @@ void BM_QuantilePolicyCached(benchmark::State& state) {
   for (auto _ : state)
     benchmark::DoNotOptimize(policy.wcet_opt(profile, rng));
 }
-BENCHMARK(BM_QuantilePolicyCached)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_QuantilePolicy)->Arg(1000)->Arg(10000);
 
-void BM_QuantilePolicyRefit(benchmark::State& state) {
-  const std::vector<double> xs =
-      policy_samples(static_cast<std::size_t>(state.range(0)));
-  const sched::HcTaskProfile profile = policy_profile(xs);
-  common::Rng rng(16);
-  for (auto _ : state) {
-    const sched::EmpiricalQuantilePolicy policy(0.99);
-    benchmark::DoNotOptimize(policy.wcet_opt(profile, rng));
-  }
-}
-BENCHMARK(BM_QuantilePolicyRefit)->Arg(1000)->Arg(10000);
-
-void BM_EvtPolicyCached(benchmark::State& state) {
+void BM_EvtPolicy(benchmark::State& state) {
   const std::vector<double> xs =
       policy_samples(static_cast<std::size_t>(state.range(0)));
   const sched::HcTaskProfile profile = policy_profile(xs);
@@ -191,19 +177,7 @@ void BM_EvtPolicyCached(benchmark::State& state) {
   for (auto _ : state)
     benchmark::DoNotOptimize(policy.wcet_opt(profile, rng));
 }
-BENCHMARK(BM_EvtPolicyCached)->Arg(1000)->Arg(10000);
-
-void BM_EvtPolicyRefit(benchmark::State& state) {
-  const std::vector<double> xs =
-      policy_samples(static_cast<std::size_t>(state.range(0)));
-  const sched::HcTaskProfile profile = policy_profile(xs);
-  common::Rng rng(18);
-  for (auto _ : state) {
-    const sched::EvtPwcetPolicy policy(0.01, 50);
-    benchmark::DoNotOptimize(policy.wcet_opt(profile, rng));
-  }
-}
-BENCHMARK(BM_EvtPolicyRefit)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_EvtPolicy)->Arg(1000)->Arg(10000);
 
 void BM_Simulation(benchmark::State& state) {
   common::Rng rng(7);

@@ -16,7 +16,9 @@
 //
 // Every configuration runs twice and FNV-hashes its SimMetrics; a hash
 // mismatch fails the run (exit 1), so this doubles as a determinism
-// smoke test for the simulator on any machine it is benchmarked on.
+// smoke test for the simulator on any machine it is benchmarked on. Each
+// row prints its hash (table and --json), so the simulator outputs of two
+// builds compare row by row.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -153,11 +155,20 @@ struct JsonRecord {
   double seconds = 0.0;
   double jobs_per_sec = 0.0;
   bool identical = true;
+  std::uint64_t hash = 0;
 };
 
 std::vector<JsonRecord>& json_records() {
   static std::vector<JsonRecord> records;
   return records;
+}
+
+/// 16 hex digits (a JSON string: doubles cannot carry 64 bits).
+std::string format_hash(std::uint64_t hash) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(hash));
+  return buf;
 }
 
 std::string render_json(bool identical) {
@@ -172,7 +183,8 @@ std::string render_json(bool identical) {
         << ", \"mode\": \"" << r.mode << "\", \"jobs\": " << r.jobs
         << ", \"events\": " << r.events << ", \"seconds\": " << r.seconds
         << ", \"jobs_per_sec\": " << r.jobs_per_sec
-        << ", \"identical\": " << (r.identical ? "true" : "false") << "}"
+        << ", \"identical\": " << (r.identical ? "true" : "false")
+        << ", \"hash\": \"" << format_hash(r.hash) << "\"}"
         << (i + 1 < records.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
@@ -227,7 +239,7 @@ int main(int argc, char** argv) {
   const std::vector<double> fig6_axis = {0.5, 0.6, 0.7, 0.8, 0.9,
                                          1.0, 1.1, 1.2, 1.3, 1.4};
   mcs::common::Table fig6_table(
-      {"u bound", "jobs", "seconds (best)", "jobs/sec", "identical"});
+      {"u bound", "jobs", "seconds (best)", "jobs/sec", "identical", "hash"});
   fig6_table.set_title("fig6 workload, tracing off (" +
                        std::to_string(sets) + " sets/point, horizon " +
                        format_fixed(horizon, 0) + " ms)");
@@ -247,22 +259,24 @@ int main(int argc, char** argv) {
                         std::to_string(timed.result.jobs),
                         mcs::common::format_double(timed.seconds, 4),
                         format_rate(rate),
-                        timed.identical ? "yes" : "NO"});
+                        timed.identical ? "yes" : "NO",
+                        format_hash(timed.result.hash)});
     json_records().push_back({"fig6", u, "off", timed.result.jobs,
                               timed.result.events, timed.seconds, rate,
-                              timed.identical});
+                              timed.identical, timed.result.hash});
   }
   fig6_table.add_row(
       {"all", std::to_string(fig6_jobs),
        mcs::common::format_double(fig6_seconds, 4),
-       format_rate(static_cast<double>(fig6_jobs) / fig6_seconds), "-"});
+       format_rate(static_cast<double>(fig6_jobs) / fig6_seconds), "-",
+       "-"});
   std::fputs(fig6_table.render().c_str(), stdout);
 
   // Section 2: ready-set scaling (overload). The legacy engine scanned
   // the whole ready set per event; the indexed engine should hold its
   // rate as the pending-job count grows.
   mcs::common::Table scaling_table(
-      {"u bound", "jobs", "seconds (best)", "jobs/sec", "identical"});
+      {"u bound", "jobs", "seconds (best)", "jobs/sec", "identical", "hash"});
   scaling_table.set_title(
       "ready-set scaling (overload), tracing off (" +
       std::to_string(overload_sets) + " sets/point, horizon " +
@@ -280,10 +294,12 @@ int main(int argc, char** argv) {
                            std::to_string(timed.result.jobs),
                            mcs::common::format_double(timed.seconds, 4),
                            format_rate(rate),
-                           timed.identical ? "yes" : "NO"});
+                           timed.identical ? "yes" : "NO",
+                           format_hash(timed.result.hash)});
     json_records().push_back({"ready_set_scaling", u, "off",
                               timed.result.jobs, timed.result.events,
-                              timed.seconds, rate, timed.identical});
+                              timed.seconds, rate, timed.identical,
+                              timed.result.hash});
   }
   std::printf("\n%s", scaling_table.render().c_str());
 
@@ -292,7 +308,7 @@ int main(int argc, char** argv) {
   // streams the same events to disk without storing them, so it shows 0.
   mcs::common::Table trace_table({"trace mode", "jobs", "mem events",
                                   "seconds (best)", "jobs/sec",
-                                  "identical"});
+                                  "identical", "hash"});
   trace_table.set_title("trace modes, fig6 u = 1.0 (" +
                         std::to_string(sets) + " sets, horizon " +
                         format_fixed(horizon, 0) + " ms)");
@@ -320,10 +336,12 @@ int main(int argc, char** argv) {
                          std::to_string(timed.result.events),
                          mcs::common::format_double(timed.seconds, 4),
                          format_rate(rate),
-                         timed.identical ? "yes" : "NO"});
+                         timed.identical ? "yes" : "NO",
+                         format_hash(timed.result.hash)});
     json_records().push_back({"trace_modes", 1.0, mode.name,
                               timed.result.jobs, timed.result.events,
-                              timed.seconds, rate, timed.identical});
+                              timed.seconds, rate, timed.identical,
+                              timed.result.hash});
     if (mode.binary)
       std::remove((scratch_dir + "/perf_sim_trace.bin").c_str());
   }

@@ -95,9 +95,9 @@ std::size_t QsortKernel::depth_bound(std::size_t size) {
 
 wcet::ProgramPtr QsortKernel::worst_case_program() const {
   using wcet::BasicBlock;
-  // Per-element partition step: the scan touches the element (persistence
-  // analysis keeps most of the working set in cache, so one worst-case
-  // load), compares, branches, and may swap.
+  // Per-element partition step: the scan loads the element once (the
+  // worst-case cost model prices the load as a cache miss), compares,
+  // branches, and may swap.
   BasicBlock visit("qsort.visit");
   visit.add(OpClass::kLoad, 1)
       .add(OpClass::kAlu, 3)

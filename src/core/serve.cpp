@@ -319,7 +319,7 @@ std::string ServeSession::handle_admit(const Args& args) {
 ServeSession::Entries::iterator ServeSession::resolve(const Args& args,
                                                       std::string* error) {
   if (args.has(kName)) {
-    const auto it = by_name_.find(std::string(args.text[kName]));
+    const auto it = by_name_.find(args.text[kName]);
     if (it == by_name_.end()) {
       *error = "err unknown task '" + std::string(args.text[kName]) + "'";
       return entries_.end();

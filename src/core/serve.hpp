@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -77,7 +78,8 @@ class ServeSession {
 
   /// Handles one request line; returns the response text without a
   /// trailing newline ("" for silent lines). Never throws. A valid
-  /// `record id=` allocates nothing: its arguments are read in place.
+  /// `record` allocates nothing: its arguments are read in place and a
+  /// `name=` is looked up as a view.
   std::string handle_line(std::string_view line);
 
   /// True once a `quit` or `shutdown` request was processed.
@@ -98,6 +100,13 @@ class ServeSession {
   };
 
   using Entries = std::map<std::uint64_t, Entry>;
+  /// Hashes names and views alike, so by_name_ finds a view in place.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const noexcept {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
   /// One request's arguments, classified by key in one pass over the line
   /// (defined in serve.cpp).
   struct Args;
@@ -118,7 +127,8 @@ class ServeSession {
   Config config_;
   PartitionedAdmission front_;
   Entries entries_;  ///< id order == admission order
-  std::unordered_map<std::string, std::uint64_t> by_name_;
+  std::unordered_map<std::string, std::uint64_t, NameHash, std::equal_to<>>
+      by_name_;
   bool closed_ = false;
 };
 

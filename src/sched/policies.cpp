@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 namespace mcs::sched {
 namespace {
@@ -61,18 +63,19 @@ double iqr_whisker_level(const std::vector<double>& samples, double k) {
   return q3 + k * (q3 - q1);
 }
 
-}  // namespace
-
-std::uint64_t SampleFitCache::fingerprint(
-    const std::vector<double>& samples) {
-  std::uint64_t h =
-      fnv_mix_u64(kFnvOffset, static_cast<std::uint64_t>(samples.size()));
-  if (samples.empty()) return h;
-  const std::size_t stride = (samples.size() + 63) / 64;
-  for (std::size_t i = 0; i < samples.size(); i += stride)
-    h = fnv_mix_double(h, samples[i]);
-  return fnv_mix_double(h, samples.back());
+// The sample set a profile-fitting policy reads: the measured samples
+// when there are any, else a surrogate synthesized from the generating
+// distribution into `surrogate`, else none (nullptr).
+const std::vector<double>* fit_samples(const HcTaskProfile& profile,
+                                       std::vector<double>& surrogate) {
+  if (profile.samples != nullptr && !profile.samples->empty())
+    return profile.samples;
+  if (profile.distribution == nullptr) return nullptr;
+  surrogate = synthesize_profile_samples(profile);
+  return &surrogate;
 }
+
+}  // namespace
 
 LambdaRangePolicy::LambdaRangePolicy(double lambda_min, double lambda_max)
     : lambda_min_(lambda_min), lambda_max_(lambda_max) {
@@ -153,9 +156,7 @@ double EmpiricalQuantilePolicy::wcet_opt(const HcTaskProfile& profile,
     throw std::invalid_argument(
         "EmpiricalQuantilePolicy: profile has no samples");
   const double level =
-      cache_.level_for(profile.samples, [this](const auto& samples) {
-        return stats::EmpiricalDistribution(samples).quantile(q_);
-      });
+      stats::EmpiricalDistribution(*profile.samples).quantile(q_);
   return std::min(level, profile.wcet_pes);
 }
 
@@ -179,9 +180,7 @@ double EvtPwcetPolicy::wcet_opt(const HcTaskProfile& profile,
   if (profile.samples == nullptr || profile.samples->empty())
     throw std::invalid_argument("EvtPwcetPolicy: profile has no samples");
   const double level =
-      cache_.level_for(profile.samples, [this](const auto& samples) {
-        return stats::pwcet_block_maxima(samples, block_size_, exceedance_);
-      });
+      stats::pwcet_block_maxima(*profile.samples, block_size_, exceedance_);
   // pWCET estimates are not certified; clamp into the valid C^LO range.
   return std::clamp(level, 1e-9, profile.wcet_pes);
 }
@@ -221,37 +220,16 @@ ConcentrationBoundPolicy::ConcentrationBoundPolicy(stats::BoundKind kind,
                                         target_p);
 }
 
-bool ConcentrationBoundPolicy::premise_holds(
-    const HcTaskProfile& profile) const {
-  if (profile.samples != nullptr && !profile.samples->empty()) {
-    const double verdict =
-        verdict_cache_.level_for(profile.samples, [](const auto& samples) {
-          return stats::unimodality_check(samples).unimodal ? 1.0 : 0.0;
-        });
-    return verdict > 0.5;
-  }
-  if (profile.distribution == nullptr) return false;
-  const std::uint64_t key = synthesis_seed(profile);
-  {
-    const std::lock_guard<std::mutex> lock(synth_mutex_);
-    const auto it = synth_verdicts_.find(key);
-    if (it != synth_verdicts_.end()) return it->second > 0.5;
-  }
-  const std::vector<double> samples = synthesize_profile_samples(profile);
-  const double verdict =
-      stats::unimodality_check(samples).unimodal ? 1.0 : 0.0;
-  const std::lock_guard<std::mutex> lock(synth_mutex_);
-  synth_verdicts_[key] = verdict;
-  return verdict > 0.5;
-}
-
 double ConcentrationBoundPolicy::wcet_opt(const HcTaskProfile& profile,
                                           common::Rng& /*rng*/) const {
   double n = n_bound_;
-  const bool needs_unimodality =
-      kind_ == stats::BoundKind::kVysochanskijPetunin ||
-      kind_ == stats::BoundKind::kGauss;
-  if (needs_unimodality && !premise_holds(profile)) n = n_fallback_;
+  if (kind_ == stats::BoundKind::kVysochanskijPetunin ||
+      kind_ == stats::BoundKind::kGauss) {
+    std::vector<double> surrogate;
+    const std::vector<double>* samples = fit_samples(profile, surrogate);
+    if (samples == nullptr || !stats::unimodality_check(*samples).unimodal)
+      n = n_fallback_;
+  }
   // Same expression as ChebyshevUniformPolicy, so the fallback path is
   // bit-identical to chebyshev at the Cantelli multiplier.
   return std::min(profile.acet + n * profile.sigma, profile.wcet_pes);
@@ -270,33 +248,13 @@ MedianMadPolicy::MedianMadPolicy(double k) : k_(k) {
 
 double MedianMadPolicy::wcet_opt(const HcTaskProfile& profile,
                                  common::Rng& /*rng*/) const {
-  double level = 0.0;
-  if (profile.samples != nullptr && !profile.samples->empty()) {
-    level = cache_.level_for(profile.samples, [this](const auto& samples) {
-      return median_mad_level(samples, k_);
-    });
-  } else if (profile.distribution != nullptr) {
-    const std::uint64_t key = synthesis_seed(profile);
-    bool cached = false;
-    {
-      const std::lock_guard<std::mutex> lock(synth_mutex_);
-      const auto it = synth_levels_.find(key);
-      if (it != synth_levels_.end()) {
-        level = it->second;
-        cached = true;
-      }
-    }
-    if (!cached) {
-      level = median_mad_level(synthesize_profile_samples(profile), k_);
-      const std::lock_guard<std::mutex> lock(synth_mutex_);
-      synth_levels_[key] = level;
-    }
-  } else {
+  std::vector<double> surrogate;
+  const std::vector<double>* samples = fit_samples(profile, surrogate);
+  if (samples == nullptr)
     throw std::invalid_argument(
         "MedianMadPolicy: profile has neither samples nor distribution");
-  }
   // Dispersion budgets are not certified bounds; clamp into (0, C^HI].
-  return std::clamp(level, 1e-9, profile.wcet_pes);
+  return std::clamp(median_mad_level(*samples, k_), 1e-9, profile.wcet_pes);
 }
 
 std::string MedianMadPolicy::name() const {
@@ -312,32 +270,12 @@ IqrWhiskerPolicy::IqrWhiskerPolicy(double k) : k_(k) {
 
 double IqrWhiskerPolicy::wcet_opt(const HcTaskProfile& profile,
                                   common::Rng& /*rng*/) const {
-  double level = 0.0;
-  if (profile.samples != nullptr && !profile.samples->empty()) {
-    level = cache_.level_for(profile.samples, [this](const auto& samples) {
-      return iqr_whisker_level(samples, k_);
-    });
-  } else if (profile.distribution != nullptr) {
-    const std::uint64_t key = synthesis_seed(profile);
-    bool cached = false;
-    {
-      const std::lock_guard<std::mutex> lock(synth_mutex_);
-      const auto it = synth_levels_.find(key);
-      if (it != synth_levels_.end()) {
-        level = it->second;
-        cached = true;
-      }
-    }
-    if (!cached) {
-      level = iqr_whisker_level(synthesize_profile_samples(profile), k_);
-      const std::lock_guard<std::mutex> lock(synth_mutex_);
-      synth_levels_[key] = level;
-    }
-  } else {
+  std::vector<double> surrogate;
+  const std::vector<double>* samples = fit_samples(profile, surrogate);
+  if (samples == nullptr)
     throw std::invalid_argument(
         "IqrWhiskerPolicy: profile has neither samples nor distribution");
-  }
-  return std::clamp(level, 1e-9, profile.wcet_pes);
+  return std::clamp(iqr_whisker_level(*samples, k_), 1e-9, profile.wcet_pes);
 }
 
 std::string IqrWhiskerPolicy::name() const {

@@ -12,12 +12,10 @@
 // from WCET^pes.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -39,11 +37,15 @@ struct HcTaskProfile {
   const std::vector<double>* samples = nullptr;
   /// Generating distribution, when known (synthetic task sets carry one);
   /// sample-needing policies synthesize a deterministic surrogate sample
-  /// set from it when `samples` is null. May be null.
+  /// set from it when `samples` is null or empty. May be null.
   const stats::Distribution* distribution = nullptr;
 };
 
-/// Strategy interface for choosing C^LO of an HC task.
+/// Strategy interface for choosing C^LO of an HC task. A policy holds
+/// only its constructor parameters and keeps nothing between calls:
+/// `wcet_opt` reads the profile afresh each time (and draws from `rng`
+/// for the lambda baselines), so one instance can be shared by the
+/// parallel sweep workers.
 class WcetOptPolicy {
  public:
   virtual ~WcetOptPolicy() = default;
@@ -58,59 +60,6 @@ class WcetOptPolicy {
 };
 
 using WcetOptPolicyPtr = std::shared_ptr<const WcetOptPolicy>;
-
-/// Memo for the measurement-based policies below: fitting (sorting the
-/// sample vector, estimating the Gumbel) costs O(m log m) per call, and
-/// the comparison sweeps call `wcet_opt` with the same profile over and
-/// over inside their hot loops. The cache keys on the samples pointer
-/// (profiles hand policies a stable vector) and revalidates with the
-/// vector's size plus a length-capped stride fingerprint (FNV-1a over at
-/// most 64 evenly spaced elements, endpoints always included), so a
-/// reused address with different data — including interior mutations
-/// that preserve size and endpoints — refits instead of returning a
-/// stale level. Thread-safe: policies are shared across the parallel
-/// sweep workers.
-class SampleFitCache {
- public:
-  /// Returns the cached level for `samples`, or computes it via `fit`
-  /// (called with *samples) and caches it.
-  template <typename Fit>
-  double level_for(const std::vector<double>* samples, Fit&& fit) const {
-    const std::uint64_t print = fingerprint(*samples);
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      const auto it = entries_.find(samples);
-      if (it != entries_.end() && it->second.size == samples->size() &&
-          it->second.fingerprint == print)
-        return it->second.level;
-    }
-    // Fit outside the lock: refits of distinct sample vectors proceed in
-    // parallel and only the map insert serializes.
-    Entry entry;
-    entry.size = samples->size();
-    entry.fingerprint = print;
-    entry.level = fit(*samples);
-    const std::lock_guard<std::mutex> lock(mutex_);
-    entries_[samples] = entry;
-    return entry.level;
-  }
-
-  /// FNV-1a over the bit patterns of at most 64 stride-sampled elements
-  /// (stride ceil(size/64); the last element is always mixed in), seeded
-  /// with the size. Vectors up to 64 elements hash in full.
-  [[nodiscard]] static std::uint64_t fingerprint(
-      const std::vector<double>& samples);
-
- private:
-  struct Entry {
-    std::size_t size = 0;
-    std::uint64_t fingerprint = 0;
-    double level = 0.0;
-  };
-
-  mutable std::mutex mutex_;
-  mutable std::unordered_map<const std::vector<double>*, Entry> entries_;
-};
 
 /// C^LO = lambda * WCET^pes with lambda drawn uniformly from
 /// [lambda_min, lambda_max] per task — the [1], [9] baseline family.
@@ -169,9 +118,7 @@ class ChebyshevUniformPolicy final : public WcetOptPolicy {
 /// observed execution times. Tighter than Chebyshev when the measurements
 /// are representative, but offers no distribution-free guarantee — the
 /// trade-off the paper's Section II discusses for pWCET approaches.
-/// Requires profile.samples != nullptr. The quantile per sample vector is
-/// cached (SampleFitCache), so repeated calls with the same profile are
-/// O(1) after the first.
+/// Requires profile.samples != nullptr.
 class EmpiricalQuantilePolicy final : public WcetOptPolicy {
  public:
   /// Requires q in (0, 1].
@@ -182,7 +129,6 @@ class EmpiricalQuantilePolicy final : public WcetOptPolicy {
 
  private:
   double q_;
-  SampleFitCache cache_;
 };
 
 /// EVT baseline (the pWCET family [17], [18]): fits a Gumbel law to
@@ -190,9 +136,7 @@ class EmpiricalQuantilePolicy final : public WcetOptPolicy {
 /// exceedance probability is `exceedance`. Model-dependent: can under- or
 /// over-shoot when the tail is not in the Gumbel domain — the reliability
 /// concern of [19]-[21]. Requires profile.samples != nullptr with at
-/// least 2 * block_size samples. The fitted level per sample vector is
-/// cached (SampleFitCache), so repeated calls with the same profile are
-/// O(1) after the first.
+/// least 2 * block_size samples.
 class EvtPwcetPolicy final : public WcetOptPolicy {
  public:
   /// Requires exceedance in (0, 1) and block_size >= 1.
@@ -204,7 +148,6 @@ class EvtPwcetPolicy final : public WcetOptPolicy {
  private:
   double exceedance_;
   std::size_t block_size_;
-  SampleFitCache cache_;
 };
 
 /// Deterministic surrogate sample set for a profile that carries a
@@ -226,9 +169,7 @@ class EvtPwcetPolicy final : public WcetOptPolicy {
 /// distribution) and falls back to the distribution-free Cantelli
 /// multiplier for the same target when the check rejects or no sample
 /// source exists — in that case the result is bit-identical to
-/// ChebyshevUniformPolicy at the Cantelli n. Verdicts and synthesized
-/// fits are cached, keyed on the sample vector (SampleFitCache) or the
-/// synthesis seed.
+/// ChebyshevUniformPolicy at the Cantelli n.
 class ConcentrationBoundPolicy final : public WcetOptPolicy {
  public:
   /// Requires target_p in (0, 1).
@@ -243,15 +184,10 @@ class ConcentrationBoundPolicy final : public WcetOptPolicy {
   [[nodiscard]] double n_fallback() const { return n_fallback_; }
 
  private:
-  [[nodiscard]] bool premise_holds(const HcTaskProfile& profile) const;
-
   stats::BoundKind kind_;
   double target_p_;
   double n_bound_;     ///< inverse of the chosen bound at target_p
   double n_fallback_;  ///< Cantelli inverse at target_p
-  SampleFitCache verdict_cache_;  ///< unimodality verdict per sample vector
-  mutable std::mutex synth_mutex_;
-  mutable std::unordered_map<std::uint64_t, double> synth_verdicts_;
 };
 
 /// Dispersion-parameter budget (Khelassi & Abdeddaim): C^LO = median +
@@ -268,9 +204,6 @@ class MedianMadPolicy final : public WcetOptPolicy {
 
  private:
   double k_;
-  SampleFitCache cache_;
-  mutable std::mutex synth_mutex_;
-  mutable std::unordered_map<std::uint64_t, double> synth_levels_;
 };
 
 /// Dispersion-parameter budget: C^LO = Q3 + k * IQR (the Tukey whisker).
@@ -286,9 +219,6 @@ class IqrWhiskerPolicy final : public WcetOptPolicy {
 
  private:
   double k_;
-  SampleFitCache cache_;
-  mutable std::mutex synth_mutex_;
-  mutable std::unordered_map<std::uint64_t, double> synth_levels_;
 };
 
 /// Tunables for make_policy.

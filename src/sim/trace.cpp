@@ -7,8 +7,6 @@ namespace mcs::sim {
 const char* to_string(TraceEventKind kind) {
   switch (kind) {
     case TraceEventKind::kRelease: return "release";
-    case TraceEventKind::kStart: return "start";
-    case TraceEventKind::kPreempt: return "preempt";
     case TraceEventKind::kComplete: return "complete";
     case TraceEventKind::kOverrun: return "overrun";
     case TraceEventKind::kModeSwitchHi: return "mode->HI";

@@ -16,19 +16,18 @@
 
 namespace mcs::sim {
 
-/// Kinds of recorded events.
+/// Kinds of recorded events. The values are the kind byte of binary
+/// trace files (sim/trace_sink.hpp); codes 1 and 2 are unused.
 enum class TraceEventKind {
-  kRelease,
-  kStart,
-  kPreempt,
-  kComplete,
-  kOverrun,
-  kModeSwitchHi,
-  kModeSwitchLo,
-  kDropLc,
-  kDeadlineMiss,
-  kDispatch,       ///< scheduler picked a job (SimConfig::trace_dispatch)
-  kBudgetRestore,  ///< degraded LC budget restored at the HI->LO switch
+  kRelease = 0,
+  kComplete = 3,
+  kOverrun = 4,
+  kModeSwitchHi = 5,
+  kModeSwitchLo = 6,
+  kDropLc = 7,
+  kDeadlineMiss = 8,
+  kDispatch = 9,        ///< scheduler picked a job (SimConfig::trace_dispatch)
+  kBudgetRestore = 10,  ///< degraded LC budget restored at the HI->LO switch
 };
 
 /// Human-readable name of a trace event kind.

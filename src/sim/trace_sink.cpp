@@ -130,7 +130,11 @@ DecodedTrace read_binary_trace(const std::string& path) {
     e.time = read_value<double>(bytes, at);
     const auto kind = read_value<std::uint8_t>(bytes, at + 8);
     const auto flags = read_value<std::uint8_t>(bytes, at + 9);
-    if (kind > static_cast<std::uint8_t>(TraceEventKind::kBudgetRestore))
+    const bool known =
+        kind == static_cast<std::uint8_t>(TraceEventKind::kRelease) ||
+        (kind >= static_cast<std::uint8_t>(TraceEventKind::kComplete) &&
+         kind <= static_cast<std::uint8_t>(TraceEventKind::kBudgetRestore));
+    if (!known)
       throw std::runtime_error("read_binary_trace: unknown event kind " +
                                std::to_string(kind) + " in " + path);
     e.kind = static_cast<TraceEventKind>(kind);

@@ -15,9 +15,10 @@
 //   records: f64 time | u8 kind | u8 flags (bit0 hi_mode, bit1
 //            virtual_deadline) | u32 task | f64 release | f64 value
 // The record count is implied by the file length. The kind byte is the
-// TraceEventKind value, 0 (kRelease) through 10 (kBudgetRestore); the
-// decoder rejects any other byte, and a task count larger than the bytes
-// left can hold (4 per name at least) reads as a truncated header.
+// TraceEventKind value: 0 (kRelease) or 3 (kComplete) through 10
+// (kBudgetRestore); the decoder rejects any other byte, and a task count
+// larger than the bytes left can hold (4 per name at least) reads as a
+// truncated header.
 #pragma once
 
 #include <atomic>

@@ -8,8 +8,7 @@ namespace mcs::stats {
 double cantelli_upper_bound(double variance, double a) {
   if (a < 0.0) return 1.0;
   if (variance <= 0.0) return a > 0.0 ? 0.0 : 1.0;
-  if (a == 0.0) return 1.0;
-  return variance / (variance + a * a);
+  return chebyshev_exceedance_bound(a / std::sqrt(variance));
 }
 
 double chebyshev_exceedance_bound(double n) {

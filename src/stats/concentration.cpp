@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "stats/chebyshev.hpp"
+
 namespace mcs::stats {
 namespace {
 
@@ -14,22 +16,13 @@ const double kVpKnee = std::sqrt(5.0 / 3.0);     // VP:    both sides = 1/6
 const double kGaussKnee = 2.0 / std::sqrt(3.0);  // Gauss: both sides = 1/6
 const double kSqrt3 = std::sqrt(3.0);
 
-double cantelli(double n) {
-  if (n <= 0.0) return 1.0;
-  return 1.0 / (1.0 + n * n);
-}
-
-double chebyshev_two_sided(double n) {
-  if (n <= 1.0) return 1.0;
-  return 1.0 / (n * n);
-}
-
 double vp_one_sided(double n) {
   if (n <= 0.0) return 1.0;
   const double base = 1.0 + n * n;
   const double far = 4.0 / (9.0 * base);
   if (n >= kVpKnee) return far;
-  return std::min(4.0 / (3.0 * base) - 1.0 / 3.0, cantelli(n));
+  return std::min(4.0 / (3.0 * base) - 1.0 / 3.0,
+                  chebyshev_exceedance_bound(n));
 }
 
 double gauss_one_sided(double n) {
@@ -40,11 +33,6 @@ double gauss_one_sided(double n) {
   // also holds, and taking the min keeps the family pointwise ordered
   // Gauss <= VP <= Cantelli for every n.
   return std::min(raw, vp_one_sided(n));
-}
-
-double cantelli_inverse(double p) {
-  if (p >= 1.0) return 0.0;
-  return std::sqrt(1.0 / p - 1.0);
 }
 
 double chebyshev_two_sided_inverse(double p) {
@@ -104,9 +92,9 @@ BoundKind parse_bound_kind(std::string_view name) {
 double concentration_exceedance(BoundKind kind, double n) {
   switch (kind) {
     case BoundKind::kCantelli:
-      return cantelli(n);
+      return chebyshev_exceedance_bound(n);
     case BoundKind::kChebyshev:
-      return chebyshev_two_sided(n);
+      return chebyshev_two_sided_bound(n);
     case BoundKind::kVysochanskijPetunin:
       return vp_one_sided(n);
     case BoundKind::kGauss:
@@ -121,7 +109,7 @@ double concentration_n_for_target(BoundKind kind, double target_prob) {
         "concentration_n_for_target: target_prob must be > 0");
   switch (kind) {
     case BoundKind::kCantelli:
-      return cantelli_inverse(target_prob);
+      return n_for_exceedance_bound(target_prob);
     case BoundKind::kChebyshev:
       return chebyshev_two_sided_inverse(target_prob);
     case BoundKind::kVysochanskijPetunin:

@@ -19,7 +19,9 @@
 // upper bounds is a valid upper bound under the joint premises). Each
 // bound exposes the exceedance at a multiplier and the closed-form
 // inverse (smallest n whose bound is <= a target probability), which is
-// what the vp_n_sigma / gauss_n_sigma policies consume.
+// what the vp_n_sigma / gauss_n_sigma policies consume. The Cantelli and
+// two-sided members, and the Cantelli inverse, are stats/chebyshev's
+// functions; this module adds the unimodal members and the dispatch.
 //
 // The unimodal premises are *checked*, not assumed: unimodality_check
 // runs a smoothed-histogram mode count over a sample set and the policy
@@ -30,7 +32,6 @@
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <string_view>
 
 namespace mcs::stats {
@@ -62,26 +63,6 @@ enum class BoundKind {
 /// targets the bound can reach at n = 0 yield 0.
 [[nodiscard]] double concentration_n_for_target(BoundKind kind,
                                                 double target_prob);
-
-/// Thin value-type wrapper for call sites that carry a bound around.
-class ConcentrationBound {
- public:
-  explicit ConcentrationBound(BoundKind kind) : kind_(kind) {}
-
-  [[nodiscard]] BoundKind kind() const { return kind_; }
-  [[nodiscard]] std::string name() const {
-    return std::string(bound_name(kind_));
-  }
-  [[nodiscard]] double exceedance(double n) const {
-    return concentration_exceedance(kind_, n);
-  }
-  [[nodiscard]] double n_for_target(double target_prob) const {
-    return concentration_n_for_target(kind_, target_prob);
-  }
-
- private:
-  BoundKind kind_;
-};
 
 /// Result of the sample-based unimodality pre-check.
 struct UnimodalityReport {

@@ -10,9 +10,9 @@
 //     regions a loop touches, and
 //   * a helper that converts the classification into the cycles saved
 //     versus the all-miss bound.
-// The instrumented kernels' worst-case programs (src/apps) lean on this
-// analysis when they charge fewer worst-case loads than the raw dynamic
-// load count.
+// Nothing outside its tests calls it: the analyzer and the kernels'
+// worst-case programs (src/apps) price every load with the cost model's
+// worst-case miss latency.
 #pragma once
 
 #include <cstdint>

@@ -10,7 +10,8 @@
 //       distribution zoo (VP/Gauss only on the unimodal members).
 //  B5 — the unimodality pre-check accepts the unimodal zoo members and
 //       rejects the bimodal mixture.
-//  B6 — names, parsing, and domain errors.
+//  B6 — names, parsing, domain errors, and agreement of the Cantelli and
+//       two-sided members with stats/chebyshev.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "stats/chebyshev.hpp"
 #include "stats/concentration.hpp"
 #include "stats/distributions.hpp"
 
@@ -208,14 +210,17 @@ TEST(Concentration, DomainEdges) {
 }
 
 TEST(Concentration, WrapperAgreesWithFreeFunctions) {
-  const ConcentrationBound bound(BoundKind::kVysochanskijPetunin);
-  EXPECT_EQ(bound.kind(), BoundKind::kVysochanskijPetunin);
-  for (const double n : {0.5, 1.0, 2.5, 7.0})
-    EXPECT_EQ(bound.exceedance(n),
-              concentration_exceedance(BoundKind::kVysochanskijPetunin, n));
-  for (const double p : {0.01, 0.1, 0.3})
-    EXPECT_EQ(bound.n_for_target(p),
-              concentration_n_for_target(BoundKind::kVysochanskijPetunin, p));
+  // The Cantelli and two-sided members and the Cantelli inverse are the
+  // paper's Eq. 2 functions in stats/chebyshev, bit for bit.
+  for (const double n : {-1.0, 0.0, 0.5, 1.0, 2.5, 7.0}) {
+    EXPECT_EQ(concentration_exceedance(BoundKind::kCantelli, n),
+              chebyshev_exceedance_bound(n));
+    EXPECT_EQ(concentration_exceedance(BoundKind::kChebyshev, n),
+              chebyshev_two_sided_bound(n));
+  }
+  for (const double p : {0.01, 0.1, 0.3, 1.0})
+    EXPECT_EQ(concentration_n_for_target(BoundKind::kCantelli, p),
+              n_for_exceedance_bound(p));
 }
 
 }  // namespace

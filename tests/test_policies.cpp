@@ -155,9 +155,9 @@ TEST(EvtPwcet, Validation) {
   EXPECT_THROW((void)policy.wcet_opt(kProfile, rng), std::invalid_argument);
 }
 
-TEST(SampleFitCache, RepeatedCallsReturnIdenticalLevels) {
-  // The cache is an optimization, not a semantic change: every repeated
-  // call with the same profile must return the bit-identical level.
+TEST(PolicyLevel, RepeatedCallsReturnIdenticalLevels) {
+  // Every repeated call with the same profile returns the bit-identical
+  // level.
   const std::vector<double> xs = ramp_samples();
   HcTaskProfile profile = kProfile;
   profile.samples = &xs;
@@ -179,10 +179,9 @@ TEST(SampleFitCache, RepeatedCallsReturnIdenticalLevels) {
     ASSERT_DOUBLE_EQ(evt.wcet_opt(profile, rng), evt_first);
 }
 
-TEST(SampleFitCache, RefitsWhenSameAddressHoldsNewData) {
-  // Pointer keys alone would go stale when a sample vector is reused for
-  // a different task (the sweep loops do exactly that); the cache must
-  // revalidate against the contents.
+TEST(PolicyLevel, RefitsWhenSameAddressHoldsNewData) {
+  // The sweep loops reuse one sample vector for different tasks; the
+  // level must follow the contents, not the address.
   std::vector<double> xs = ramp_samples();  // 1..100
   HcTaskProfile profile = kProfile;
   profile.samples = &xs;
@@ -199,7 +198,7 @@ TEST(SampleFitCache, RefitsWhenSameAddressHoldsNewData) {
                    stats::EmpiricalDistribution(xs).quantile(0.9));
 }
 
-TEST(SampleFitCache, DistinctVectorsCachedIndependently) {
+TEST(PolicyLevel, DistinctVectorsFitIndependently) {
   const std::vector<double> a = ramp_samples();
   std::vector<double> b = ramp_samples();
   for (double& x : b) x += 100.0;  // 101..200
@@ -211,7 +210,7 @@ TEST(SampleFitCache, DistinctVectorsCachedIndependently) {
   EXPECT_DOUBLE_EQ(policy.wcet_opt(profile, rng), 90.0);
   profile.samples = &b;
   EXPECT_DOUBLE_EQ(policy.wcet_opt(profile, rng), 190.0);
-  profile.samples = &a;  // still cached, still correct
+  profile.samples = &a;  // back to the first vector, same level
   EXPECT_DOUBLE_EQ(policy.wcet_opt(profile, rng), 90.0);
 }
 
@@ -221,11 +220,9 @@ TEST(PolicyNames, NewPoliciesDescriptive) {
   EXPECT_NE(EvtPwcetPolicy(0.1).name().find("evt"), std::string::npos);
 }
 
-TEST(SampleFitCache, RefitsOnInteriorMutationPreservingSizeAndEndpoints) {
-  // Regression for the stride fingerprint: a mutation that keeps the
-  // size, the first element, and the last element must still invalidate
-  // the cached fit. Vectors up to 64 elements hash in full, so any
-  // single-element change is visible.
+TEST(PolicyLevel, RefitsOnInteriorMutationPreservingSizeAndEndpoints) {
+  // A mutation that keeps the size, the first element and the last
+  // element still moves the level.
   std::vector<double> xs(50);
   for (std::size_t i = 0; i < xs.size(); ++i)
     xs[i] = static_cast<double>(i + 1);  // 1..50
@@ -237,25 +234,52 @@ TEST(SampleFitCache, RefitsOnInteriorMutationPreservingSizeAndEndpoints) {
   const double before = policy.wcet_opt(profile, rng);
   EXPECT_DOUBLE_EQ(before, stats::EmpiricalDistribution(xs).quantile(0.9));
 
-  const std::uint64_t print_before = SampleFitCache::fingerprint(xs);
   xs[25] = 500.0;  // interior only: size, xs.front(), xs.back() unchanged
   ASSERT_EQ(xs.size(), 50u);
   ASSERT_DOUBLE_EQ(xs.front(), 1.0);
   ASSERT_DOUBLE_EQ(xs.back(), 50.0);
-  EXPECT_NE(SampleFitCache::fingerprint(xs), print_before);
 
   const double after = policy.wcet_opt(profile, rng);
   EXPECT_DOUBLE_EQ(after, stats::EmpiricalDistribution(xs).quantile(0.9));
   EXPECT_NE(after, before);
 }
 
-TEST(SampleFitCache, FingerprintIsContentBased) {
+TEST(PolicyLevel, RefitsWhenMutationSkipsEverySixteenthElement) {
+  // 1,000 samples changed everywhere except the endpoints and every 16th
+  // index: a memo that sampled only those elements would keep the stale
+  // 900.
+  std::vector<double> xs(1000);
+  for (std::size_t i = 0; i < xs.size(); ++i)
+    xs[i] = static_cast<double>(i + 1);  // 1..1000
+  HcTaskProfile profile = kProfile;
+  profile.samples = &xs;
+  profile.wcet_pes = 10000.0;
+  common::Rng rng(16);
+  const EmpiricalQuantilePolicy policy(0.9);
+  EXPECT_EQ(policy.wcet_opt(profile, rng), 900.0);
+
+  for (std::size_t i = 1; i + 1 < xs.size(); ++i)
+    if (i % 16 != 0) xs[i] += 5000.0;
+  EXPECT_EQ(policy.wcet_opt(profile, rng), 5892.0);
+}
+
+TEST(PolicyLevel, LevelIsContentBased) {
+  // Equal contents at different addresses give the same level; a change
+  // of 1e-9 in the element the 0.9 quantile picks moves it.
   const std::vector<double> a = ramp_samples();
-  const std::vector<double> b = ramp_samples();  // equal contents, new address
-  EXPECT_EQ(SampleFitCache::fingerprint(a), SampleFitCache::fingerprint(b));
+  const std::vector<double> b = ramp_samples();
   std::vector<double> c = ramp_samples();
-  c[50] += 1e-9;
-  EXPECT_NE(SampleFitCache::fingerprint(a), SampleFitCache::fingerprint(c));
+  c[89] += 1e-9;
+  HcTaskProfile profile = kProfile;
+  profile.wcet_pes = 1000.0;
+  common::Rng rng(15);
+  const EmpiricalQuantilePolicy policy(0.9);
+  profile.samples = &a;
+  const double level_a = policy.wcet_opt(profile, rng);
+  profile.samples = &b;
+  EXPECT_EQ(policy.wcet_opt(profile, rng), level_a);
+  profile.samples = &c;
+  EXPECT_EQ(policy.wcet_opt(profile, rng), 90.0 + 1e-9);
 }
 
 // --- Concentration-bound policy family -------------------------------
@@ -456,8 +480,9 @@ TEST(PolicyFactory, BuildsEverySpecAndRejectsUnknown) {
     ASSERT_NE(policy, nullptr) << spec;
     EXPECT_FALSE(policy->name().empty()) << spec;
   }
-  const auto* vp = dynamic_cast<const ConcentrationBoundPolicy*>(
-      make_policy("vp_n_sigma", options).get());
+  const WcetOptPolicyPtr vp_policy = make_policy("vp_n_sigma", options);
+  const auto* vp =
+      dynamic_cast<const ConcentrationBoundPolicy*>(vp_policy.get());
   ASSERT_NE(vp, nullptr);
   EXPECT_EQ(vp->kind(), stats::BoundKind::kVysochanskijPetunin);
   EXPECT_DOUBLE_EQ(vp->target_p(), 0.2);

@@ -1,10 +1,10 @@
 // Pins that the job-rate requests of `mcs-cli serve` allocate nothing: a
-// valid `record id=` line and a `ping` line are parsed in place, the
-// record lands in a fixed-size drift monitor and both replies fit the
-// string's inline buffer (docs/serve_protocol.md promises this for
-// `record id=`). The counting global operator new replaces the library's
-// for this binary only, which is why this test lives in its own
-// executable.
+// valid `record id=` or `record name=` line and a `ping` line are parsed
+// in place, a name is looked up as a view, the record lands in a
+// fixed-size drift monitor and the replies fit the string's inline
+// buffer (docs/serve_protocol.md promises this for `record`). The
+// counting global operator new replaces the library's for this binary
+// only, which is why this test lives in its own executable.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -81,6 +81,27 @@ TEST(ServeAlloc, RecordAndPingLinesAllocateNothing) {
   // The counter sees the session's allocations at all.
   EXPECT_GT(allocations_of(session, {"stats"}, session.handle_line("stats")),
             0U);
+}
+
+TEST(ServeAlloc, RecordByLongNameAllocatesNothing) {
+  // 24 bytes: longer than the inline buffer of a std::string, so a lookup
+  // that copied the name into a key would allocate on every line.
+  const std::string name = "flight_control_loop_0001";
+  ASSERT_EQ(name.size(), 24U);
+  ServeSession session;
+  ASSERT_EQ(session.handle_line("admit name=" + name +
+                                " crit=HC wcet_lo=2 wcet_hi=4 period=20 "
+                                "acet=1.5 sigma=0.3"),
+            "ok admit " + name + " id=1 x=1 resident=1");
+  std::vector<std::string> records;
+  char buf[96];
+  for (std::size_t i = 0; i < kLines; ++i) {
+    std::snprintf(buf, sizeof buf, "record name=%s time=%.6g", name.c_str(),
+                  1.0 + 0.001 * static_cast<double>(i % 997));
+    records.emplace_back(buf);
+  }
+  (void)allocations_of(session, {records.begin(), records.begin() + 100}, "");
+  EXPECT_EQ(allocations_of(session, records, ""), 0U);
 }
 
 }  // namespace
