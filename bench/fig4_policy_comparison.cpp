@@ -8,6 +8,7 @@
 #include "common/executor.hpp"
 #include "common/table.hpp"
 #include "exp/policy_sweep.hpp"
+#include "exp/shootout.hpp"
 
 int main(int argc, char** argv) {
   std::uint64_t tasksets = 25;
@@ -44,8 +45,8 @@ int main(int argc, char** argv) {
   policy_options.target_p = target_p;
   std::vector<mcs::sched::WcetOptPolicyPtr> extra_policies;
   try {
-    extra_policies = mcs::sched::make_policy_list(policy_specs,
-                                                  policy_options);
+    extra_policies =
+        mcs::exp::make_synthetic_policy_list(policy_specs, policy_options);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

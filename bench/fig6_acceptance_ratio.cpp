@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
     mcs::common::Table shootout({""});
     try {
       const auto policies =
-          mcs::sched::make_policy_list(policy_specs, policy_options);
+          mcs::exp::make_synthetic_policy_list(policy_specs, policy_options);
       const auto result = mcs::exp::run_shootout_acceptance(
           policies, mcs::core::parse_admission_backend(admission), u_values,
           tasksets, seed, mcs::common::Executor(shard));

@@ -1,16 +1,24 @@
 // Micro-performance benchmarks (google-benchmark) for the library's hot
 // paths: the statistics kernels, the static analyzer, the GA engine, the
-// discrete-event simulator and the measurement kernels. These are
-// engineering benchmarks, not paper reproductions — they document the
-// library's throughput so users can size paper-scale sweeps.
+// discrete-event simulator, the measurement kernels and the serve request
+// path. These are engineering benchmarks, not paper reproductions — they
+// document the library's throughput so users can size paper-scale sweeps.
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "apps/qsort_kernel.hpp"
+#include "common/net.hpp"
 #include "common/rng.hpp"
 #include "common/stats_accumulator.hpp"
 #include "core/chebyshev_wcet.hpp"
 #include "core/objective.hpp"
 #include "core/optimizer.hpp"
+#include "core/serve.hpp"
+#include "core/serve_net.hpp"
 #include "ga/engine.hpp"
 #include "sched/amc.hpp"
 #include "sched/edf_vd.hpp"
@@ -198,6 +206,71 @@ void BM_Simulation(benchmark::State& state) {
       static_cast<double>(total_jobs), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_Simulation)->Arg(10000)->Arg(100000);
+
+/// Admits 34 monitored HC tasks (ids 1-34) into `session` and returns one
+/// serve_telemetry-shaped batch as a connection sends it: ten `record id=`
+/// lines per task, then a `ping`, 341 lines in all.
+std::string telemetry_batch(core::ServeSession& session) {
+  constexpr std::size_t kTasks = 34;
+  char line[128];
+  for (std::size_t k = 0; k < kTasks; ++k) {
+    std::snprintf(line, sizeof line,
+                  "admit name=t%zu crit=HC wcet_lo=2 wcet_hi=4 period=%zu "
+                  "acet=1.5 sigma=0.3",
+                  k, 1000 + 10 * k);
+    (void)session.handle_line(line);
+  }
+  common::Rng rng(18);
+  std::string wire;
+  for (std::size_t r = 0; r < 10 * kTasks; ++r) {
+    std::snprintf(line, sizeof line, "record id=%zu time=%.6g\n",
+                  1 + r % kTasks, rng.uniform(1.0, 2.0));
+    wire += line;
+  }
+  return wire + "ping\n";
+}
+
+// The network request path without the socket: one read's worth of
+// requests framed by LineBuffer, each line's view handed to the serve
+// handler, the replies appended to the connection's output queue.
+void BM_ServeFramedBatch(benchmark::State& state) {
+  core::ServeSession session;
+  const std::string wire = telemetry_batch(session);
+  core::NetServeFront front(&session);
+  common::net::LineBuffer in;
+  std::string out;
+  std::string_view line;
+  std::int64_t lines = 0;
+  for (auto _ : state) {
+    in.feed(wire.data(), wire.size());
+    while (in.next(&line)) {
+      benchmark::DoNotOptimize(front.on_line(1, line, out));
+      ++lines;
+    }
+    out.clear();
+  }
+  state.SetItemsProcessed(lines);
+}
+BENCHMARK(BM_ServeFramedBatch);
+
+// The same lines straight into ServeSession::handle_line: the difference
+// to BM_ServeFramedBatch is the framing and reply-queue cost per line.
+void BM_ServeHandleLine(benchmark::State& state) {
+  core::ServeSession session;
+  const std::string wire = telemetry_batch(session);
+  std::vector<std::string_view> lines;
+  for (std::size_t at = 0; at < wire.size();) {
+    const std::size_t nl = wire.find('\n', at);
+    lines.push_back(std::string_view(wire).substr(at, nl - at));
+    at = nl + 1;
+  }
+  for (auto _ : state)
+    for (const std::string_view line : lines)
+      benchmark::DoNotOptimize(session.handle_line(line));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(lines.size()));
+}
+BENCHMARK(BM_ServeHandleLine);
 
 }  // namespace
 

@@ -44,6 +44,11 @@ sockaddr_in make_addr(const std::string& address, std::uint16_t port) {
 /// Unsent reply bytes above which a connection is not read (back-pressure).
 constexpr std::size_t kMaxUnsentBytes = std::size_t{1} << 20;
 
+/// Bytes one read(2) may take from a connection: a whole batch of
+/// pipelined requests (a 341-line telemetry batch is about 11 KiB) in one
+/// call.
+constexpr std::size_t kReadBytes = std::size_t{1} << 16;
+
 }  // namespace
 
 int accept_retry(int fd) {
@@ -114,7 +119,7 @@ bool LineBuffer::feed(const char* data, std::size_t n) {
   return true;
 }
 
-bool LineBuffer::next(std::string* line) {
+bool LineBuffer::next(std::string_view* line) {
   const std::size_t pos = buffer_.find('\n', start_);
   if (pos == std::string::npos) {
     if (buffer_.size() - start_ > max_line_) overflowed_ = true;
@@ -126,8 +131,15 @@ bool LineBuffer::next(std::string* line) {
   }
   std::size_t end = pos;
   if (end > start_ && buffer_[end - 1] == '\r') --end;  // CRLF clients
-  line->assign(buffer_, start_, end - start_);
+  *line = std::string_view(buffer_).substr(start_, end - start_);
   start_ = pos + 1;
+  return true;
+}
+
+bool LineBuffer::next(std::string* line) {
+  std::string_view view;
+  if (!next(&view)) return false;
+  line->assign(view);
   return true;
 }
 
@@ -189,7 +201,8 @@ int connect_tcp(const std::string& address, std::uint16_t port) {
 LineServer::LineServer(const ServerConfig& config, Handler handler)
     : config_(config),
       handler_(std::move(handler)),
-      listener_(config.bind_address, config.port, config.backlog) {
+      listener_(config.bind_address, config.port, config.backlog),
+      read_buf_(std::make_unique_for_overwrite<char[]>(kReadBytes)) {
   if (::pipe(stop_pipe_) < 0) throw_errno("net: pipe");
   set_nonblocking(stop_pipe_[0]);
   set_nonblocking(stop_pipe_[1]);
@@ -259,17 +272,18 @@ void LineServer::drop_connection(std::size_t i) {
 void LineServer::handle_lines(std::size_t i) {
   Connection& conn = conns_[i];
   std::uint64_t handled = 0;
-  while (!conn.closing && conn.in.next(&line_)) {
+  std::string_view line;
+  while (!conn.closing && conn.in.next(&line)) {
     ++handled;
-    LineOutcome outcome = handler_(conn.id, line_);
-    if (!outcome.reply.empty()) {
-      conn.out += outcome.reply;
-      conn.out += '\n';
-    }
-    if (outcome.close_connection) conn.closing = true;
-    if (outcome.shutdown_server) {
-      conn.closing = true;
-      shutdown_ = true;
+    switch (handler_(conn.id, line, conn.out)) {
+      case LineAction::kKeep:
+        break;
+      case LineAction::kShutdown:
+        shutdown_ = true;
+        [[fallthrough]];
+      case LineAction::kClose:
+        conn.closing = true;
+        break;
     }
   }
   if (handled > 0) {  // one clock read and one counter update per read
@@ -284,13 +298,12 @@ void LineServer::handle_lines(std::size_t i) {
 }
 
 bool LineServer::service_input(std::size_t i) {
-  char buf[4096];
   while (true) {
-    const long r = read_retry(conns_[i].fd, buf, sizeof buf);
+    const long r = read_retry(conns_[i].fd, read_buf_.get(), kReadBytes);
     if (r > 0) {
-      (void)conns_[i].in.feed(buf, static_cast<std::size_t>(r));
+      (void)conns_[i].in.feed(read_buf_.get(), static_cast<std::size_t>(r));
       handle_lines(i);
-      if (static_cast<std::size_t>(r) < sizeof buf ||
+      if (static_cast<std::size_t>(r) < kReadBytes ||
           conns_[i].out.size() > kMaxUnsentBytes)
         return true;
       continue;  // possibly more buffered input

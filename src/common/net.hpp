@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -63,8 +64,11 @@ class LineBuffer {
   /// unterminated tail exceeds the line bound.
   bool feed(const char* data, std::size_t n);
 
-  /// Pops the next complete line into *line. False when no full line is
-  /// buffered.
+  /// Pops the next complete line as a view into the buffer, valid until
+  /// the next feed(). False when no full line is buffered.
+  bool next(std::string_view* line);
+
+  /// Pops the next complete line into *line (a copy of the view form).
   bool next(std::string* line);
 
   /// The bytes next() has not returned yet (after the last complete line:
@@ -118,15 +122,11 @@ class TcpListener {
 // ---------------------------------------------------------------------------
 // LineServer — single-threaded poll loop over listener + connections.
 
-/// What the per-line handler wants done after its reply is queued.
-struct LineOutcome {
-  /// Reply text without trailing newline; empty = silent line (nothing is
-  /// written, matching the script-replay behaviour of silent requests).
-  std::string reply;
-  /// Flush this connection's queue and close it (e.g. `quit`).
-  bool close_connection = false;
-  /// Flush every connection and leave the serve loop (e.g. `shutdown`).
-  bool shutdown_server = false;
+/// What the connection does after the handler has queued its reply.
+enum class LineAction {
+  kKeep,      ///< read the next request
+  kClose,     ///< flush this connection's queue and close it (`quit`)
+  kShutdown,  ///< flush every connection and leave the serve loop
 };
 
 struct ServerConfig {
@@ -153,11 +153,14 @@ struct ServerConfig {
 /// anything waits forever.
 class LineServer {
  public:
-  /// `on_line(conn_id, line)` runs once per complete request line, in
+  /// `on_line(conn_id, line, out)` runs once per complete request line, in
   /// arrival order (lines of one connection are never reordered; lines of
   /// different connections interleave at line granularity in poll order).
-  using Handler = std::function<LineOutcome(std::uint64_t conn_id,
-                                            const std::string& line)>;
+  /// `line` views the connection's input buffer and is valid only during
+  /// the call. The handler appends its reply, '\n' included, to `out`, the
+  /// connection's queue of unsent bytes; a silent line appends nothing.
+  using Handler = std::function<LineAction(
+      std::uint64_t conn_id, std::string_view line, std::string& out)>;
 
   struct Stats {
     std::uint64_t accepted = 0;
@@ -186,7 +189,7 @@ class LineServer {
 
   [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
 
-  /// Serves until stop() is called or a handler returns shutdown_server.
+  /// Serves until stop() is called or a handler returns kShutdown.
   /// Pending replies are flushed (bounded best-effort) before returning.
   void run();
 
@@ -231,7 +234,9 @@ class LineServer {
   Handler handler_;
   TcpListener listener_;
   std::vector<Connection> conns_;
-  std::string line_;  ///< handle_lines' request line, reused across reads
+  /// service_input's read(2) target, left uninitialized: only the pages a
+  /// read fills count toward the server's memory.
+  std::unique_ptr<char[]> read_buf_;
   StatsCounters stats_;
   int stop_pipe_[2] = {-1, -1};
   std::uint64_t next_conn_id_ = 1;

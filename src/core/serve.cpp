@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 #include <vector>
 
 #include "core/chebyshev_wcet.hpp"
@@ -372,13 +373,17 @@ std::string ServeSession::handle_record(const Args& args) {
 }
 
 std::string ServeSession::handle_tick() {
+  // entries_ keeps no order; ids rise with each admission, so sorting by
+  // id keeps the reopt lines in admission order.
+  std::vector<std::pair<std::uint64_t, Entry*>> monitored;
+  for (auto& [id, entry] : entries_)
+    if (entry.monitor) monitored.emplace_back(id, &entry);
+  std::sort(monitored.begin(), monitored.end());
   std::string out;
-  std::size_t monitored = 0;
   std::size_t drifted = 0;
   std::size_t applied = 0;
-  for (auto& [id, entry] : entries_) {  // id order == admission order
-    if (!entry.monitor) continue;
-    ++monitored;
+  for (const auto& [id, entry_ptr] : monitored) {
+    Entry& entry = *entry_ptr;
     const DriftReport report = entry.monitor->report(0);
     if (!report.reassignment_recommended()) continue;
     ++drifted;
@@ -412,7 +417,7 @@ std::string ServeSession::handle_tick() {
       out += "\n";
     }
   }
-  out += "ok tick monitored=" + std::to_string(monitored) +
+  out += "ok tick monitored=" + std::to_string(monitored.size()) +
          " drifted=" + std::to_string(drifted) +
          " reoptimized=" + std::to_string(applied);
   return out;

@@ -19,7 +19,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -99,7 +98,7 @@ class ServeSession {
     double n_design = 0.0;  ///< multiplier implied by the admitted C^LO
   };
 
-  using Entries = std::map<std::uint64_t, Entry>;
+  using Entries = std::unordered_map<std::uint64_t, Entry>;
   /// Hashes names and views alike, so by_name_ finds a view in place.
   struct NameHash {
     using is_transparent = void;
@@ -126,7 +125,7 @@ class ServeSession {
 
   Config config_;
   PartitionedAdmission front_;
-  Entries entries_;  ///< id order == admission order
+  Entries entries_;  ///< by id; ids rise in admission order
   std::unordered_map<std::string, std::uint64_t, NameHash, std::equal_to<>>
       by_name_;
   bool closed_ = false;

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 #include "common/net.hpp"
@@ -30,10 +31,11 @@ class NetServeFront {
  public:
   explicit NetServeFront(ServeSession* session) : session_(session) {}
 
-  /// LineServer::Handler: one request line -> outcome (reply text plus
-  /// connection/server lifecycle flags).
-  common::net::LineOutcome on_line(std::uint64_t conn_id,
-                                   std::string_view line);
+  /// LineServer::Handler: answers one request line by appending its
+  /// reply lines, each with its '\n', to `out`, and says whether the
+  /// connection or the whole server closes.
+  common::net::LineAction on_line(std::uint64_t conn_id,
+                                  std::string_view line, std::string& out);
 
   [[nodiscard]] std::uint64_t lines_handled() const { return lines_; }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <span>
+#include <stdexcept>
 
 #include "apps/measurement.hpp"
 #include "apps/registry.hpp"
@@ -33,6 +34,19 @@ std::vector<sched::WcetOptPolicyPtr> shootout_policies(
       sched::make_policy("median_k_mad", options),
       sched::make_policy("iqr_whisker", options),
   };
+}
+
+std::vector<sched::WcetOptPolicyPtr> make_synthetic_policy_list(
+    std::string_view specs, const sched::PolicyFactoryOptions& options) {
+  std::vector<sched::WcetOptPolicyPtr> policies =
+      sched::make_policy_list(specs, options);
+  for (const sched::WcetOptPolicyPtr& policy : policies)
+    if (dynamic_cast<const sched::EmpiricalQuantilePolicy*>(policy.get()) ||
+        dynamic_cast<const sched::EvtPwcetPolicy*>(policy.get()))
+      throw std::invalid_argument(
+          "policy " + policy->name() +
+          " needs measured samples; the synthetic task sets carry no samples");
+  return policies;
 }
 
 std::vector<ShootoutKernelRow> run_shootout_kernels(

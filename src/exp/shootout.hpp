@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/executor.hpp"
@@ -32,6 +33,13 @@ namespace mcs::exp {
 /// at options.target_p plus the two dispersion-parameter budgets.
 [[nodiscard]] std::vector<sched::WcetOptPolicyPtr> shootout_policies(
     const sched::PolicyFactoryOptions& options = {});
+
+/// Builds the --policy roster of a sweep over synthetic task sets
+/// (sched::make_policy_list). Those sets carry a generating distribution
+/// but no measured samples, so a policy that needs measured samples
+/// (quantile, evt) is refused: throws std::invalid_argument naming it.
+[[nodiscard]] std::vector<sched::WcetOptPolicyPtr> make_synthetic_policy_list(
+    std::string_view specs, const sched::PolicyFactoryOptions& options = {});
 
 /// One (kernel, policy) score of the exceedance experiment.
 struct ShootoutKernelRow {

@@ -279,4 +279,29 @@ if [ -n "$MERGE" ]; then
   fi
 fi
 
+# The sweeps run on synthetic task sets, which carry no measured samples,
+# so they refuse the sample-only policies when they parse --policy: exit 1
+# and one message naming the policy. fig4 used to die in std::terminate,
+# and fig6 and sweep to fail inside the policy.
+expect_sample_only_refused() {  # <policy> <command> [args...]
+  policy="$1"
+  shift
+  code=0
+  "$@" --policy="$policy" > /dev/null 2> "$WORKDIR/refused.txt" || code=$?
+  if [ "$code" != 1 ] || [ "$(wc -l < "$WORKDIR/refused.txt")" != 1 ] ||
+    ! grep -q "policy $policy(.*) needs measured samples; the synthetic task sets carry no samples" \
+      "$WORKDIR/refused.txt"; then
+    echo "$* --policy=$policy: exit $code, expected 1 and one message:" >&2
+    cat "$WORKDIR/refused.txt" >&2
+    exit 1
+  fi
+}
+expect_sample_only_refused quantile "$CLI" sweep --points=2 --tasksets=2
+if [ -n "$FIG4" ]; then
+  expect_sample_only_refused quantile "$FIG4" --tasksets=5 --jobs=1
+fi
+if [ -n "$FIG6" ]; then
+  expect_sample_only_refused evt "$FIG6" --tasksets=2
+fi
+
 echo "cli pipeline OK"

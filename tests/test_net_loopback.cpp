@@ -14,9 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -25,8 +27,10 @@
 #include <sys/socket.h>
 #include <sys/time.h>
 
+#include "common/rng.hpp"
 #include "core/serve.hpp"
 #include "core/serve_net.hpp"
+#include "serve_corpus.hpp"
 
 namespace mcs {
 namespace {
@@ -145,6 +149,146 @@ TEST(LineBuffer, TailHoldsOnlyUnconsumedBytes) {
 }
 
 // ---------------------------------------------------------------------------
+// LineBuffer framing fuzz
+
+/// How a LineBuffer must frame a whole input: its complete lines, each
+/// without the '\n' and one '\r' before it, up to the first line whose raw
+/// bytes exceed `max_line`; whether there is such a line or an overlong
+/// unterminated rest; and, when there is none, that rest.
+struct Framing {
+  std::vector<std::string> lines;
+  bool overflowed = false;
+  std::string rest;
+};
+
+Framing reference_framing(std::string_view input, std::size_t max_line) {
+  Framing f;
+  std::size_t at = 0;
+  for (std::size_t nl; (nl = input.find('\n', at)) != input.npos;
+       at = nl + 1) {
+    std::string_view raw = input.substr(at, nl - at);
+    if (raw.size() > max_line) {
+      f.overflowed = true;
+      return f;
+    }
+    if (!raw.empty() && raw.back() == '\r') raw.remove_suffix(1);
+    f.lines.emplace_back(raw);
+  }
+  f.overflowed = input.size() - at > max_line;
+  if (!f.overflowed) f.rest = input.substr(at);
+  return f;
+}
+
+/// Feeds `input` to two LineBuffers in the same seeded chunks of 1 B to
+/// 64 KiB (a uniform power of two, then a uniform size below it, so every
+/// size class is hit) and drains one through next()'s view form and the
+/// other through its string form after every feed. Returns the framing
+/// the view form produced; *mismatch names the first disagreement of the
+/// two forms.
+Framing chunked_framing(std::string_view input, std::size_t max_line,
+                        common::Rng& rng, std::string* mismatch) {
+  common::net::LineBuffer views(max_line);
+  common::net::LineBuffer strings(max_line);
+  Framing f;
+  std::string_view view;
+  std::string line;
+  for (std::size_t at = 0; at < input.size() && mismatch->empty();) {
+    const std::uint64_t top = std::uint64_t{1} << rng.uniform_u64(0, 16);
+    const std::size_t chunk = std::min<std::size_t>(
+        input.size() - at, rng.uniform_u64(top / 2 + 1, top));
+    (void)views.feed(input.data() + at, chunk);
+    (void)strings.feed(input.data() + at, chunk);
+    at += chunk;
+    while (views.next(&view)) {
+      if (!strings.next(&line) || line != view) {
+        *mismatch = "line " + std::to_string(f.lines.size()) +
+                    ": the view form popped '" + std::string(view) +
+                    "', the string form '" + line + "'";
+        break;
+      }
+      f.lines.emplace_back(view);
+    }
+    if (mismatch->empty() && strings.next(&line))
+      *mismatch = "only the string form popped '" + line + "'";
+  }
+  if (mismatch->empty() && (views.overflowed() != strings.overflowed() ||
+                            views.tail() != strings.tail()))
+    *mismatch = "the two forms disagree on the overflow or the tail";
+  f.overflowed = views.overflowed();
+  if (!f.overflowed) f.rest = views.tail();
+  return f;
+}
+
+/// A seeded mutant of `text`: maybe every blank turned into a line break,
+/// then up to 64 edits, each inserting a '\n', a '\r', "\r\n" or a NUL
+/// byte, deleting a few bytes or inserting a run of one byte (a power of
+/// two up to 65,536, plus up to 1,000, so lines overflow every bound),
+/// then maybe a cut that leaves an unterminated rest.
+std::string framing_mutant(std::string text, common::Rng& rng) {
+  if (rng.bernoulli(0.5))
+    std::replace(text.begin(), text.end(), ' ', '\n');
+  for (std::uint64_t n = rng.uniform_u64(1, 64); n > 0; --n) {
+    const std::size_t at = rng.uniform_u64(0, text.size());
+    switch (rng.uniform_u64(0, 5)) {
+      case 0: text.insert(at, 1, '\n'); break;
+      case 1: text.insert(at, 1, '\r'); break;
+      case 2: text.insert(at, "\r\n"); break;
+      case 3: text.insert(at, 1, '\0'); break;
+      case 4: text.erase(at, rng.uniform_u64(1, 16)); break;
+      default: {
+        static constexpr char kRunBytes[] = {'x', ' ', '\r', '\0'};
+        const std::uint64_t top = std::uint64_t{1} << rng.uniform_u64(0, 16);
+        text.insert(at, top + rng.uniform_u64(0, 1000),
+                    kRunBytes[rng.uniform_u64(0, 3)]);
+        break;
+      }
+    }
+  }
+  if (rng.bernoulli(0.5)) text.resize(rng.uniform_u64(0, text.size()));
+  return text;
+}
+
+TEST(LineBufferFuzz, ChunkedFramingMatchesAReferenceSplit) {
+  // The ServeGolden request corpus and seeded mutants of it, framed in
+  // seeded chunks at three line bounds. The view and string forms of
+  // next() must pop the same lines; those must be the reference split of
+  // the whole input up to the first overlong line, with no line after it;
+  // overflowed() must be set exactly when there is such a line (or an
+  // overlong unterminated rest); and otherwise tail() must be the rest.
+  std::string corpus;
+  for (const std::string& line : fixtures::serve_corpus()) {
+    corpus += line;
+    corpus += '\n';
+  }
+  constexpr int kMutants = 300;
+  for (const std::size_t max_line :
+       {std::size_t{8}, std::size_t{64}, std::size_t{65536}}) {
+    common::Rng rng(6 + max_line);
+    std::size_t lines = 0;
+    std::size_t overflows = 0;
+    for (int k = 0; k <= kMutants; ++k) {
+      const std::string input =
+          k == 0 ? corpus : framing_mutant(corpus, rng);
+      const Framing expected = reference_framing(input, max_line);
+      std::string mismatch;
+      const Framing got = chunked_framing(input, max_line, rng, &mismatch);
+      ASSERT_EQ(mismatch, "") << "max_line " << max_line << ", mutant " << k;
+      ASSERT_EQ(got.overflowed, expected.overflowed)
+          << "max_line " << max_line << ", mutant " << k;
+      ASSERT_EQ(got.lines, expected.lines)
+          << "max_line " << max_line << ", mutant " << k;
+      ASSERT_EQ(got.rest, expected.rest)
+          << "max_line " << max_line << ", mutant " << k;
+      lines += expected.lines.size();
+      overflows += expected.overflowed ? 1 : 0;
+    }
+    // Every bound sees lines framed and lines refused.
+    EXPECT_GT(lines, std::size_t{kMutants}) << "max_line " << max_line;
+    EXPECT_GT(overflows, 0U) << "max_line " << max_line;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Syscall wrappers
 
 TEST(NetWrappers, WriteToClosedPeerIsEpipeNotSigpipe) {
@@ -228,8 +372,9 @@ class ServeHarness {
       : session_(session_config),
         front_(&session_),
         server_(net_config,
-                [this](std::uint64_t id, const std::string& line) {
-                  return front_.on_line(id, line);
+                [this](std::uint64_t id, std::string_view line,
+                       std::string& out) {
+                  return front_.on_line(id, line, out);
                 }),
         thread_([this] { server_.run(); }) {}
 

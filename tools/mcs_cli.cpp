@@ -18,6 +18,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -248,7 +249,7 @@ int cmd_sweep(int argc, const char* const* argv) {
     sched::PolicyFactoryOptions policy_options;
     policy_options.target_p = target_p;
     const auto policies =
-        sched::make_policy_list(policy_specs, policy_options);
+        exp::make_synthetic_policy_list(policy_specs, policy_options);
     const auto result = exp::run_shootout_acceptance(
         policies, core::parse_admission_backend(admission), u_values,
         tasksets, seed, common::Executor(shard));
@@ -789,8 +790,9 @@ int cmd_serve(int argc, const char* const* argv) {
     net_config.max_connections = max_clients;
     core::NetServeFront front(&session);
     common::net::LineServer server(
-        net_config, [&front](std::uint64_t conn_id, const std::string& line) {
-          return front.on_line(conn_id, line);
+        net_config, [&front](std::uint64_t conn_id, std::string_view line,
+                             std::string& out) {
+          return front.on_line(conn_id, line, out);
         });
     if (!port_file.empty()) {
       std::ofstream pf(port_file);
