@@ -247,6 +247,8 @@ void BM_ServeFramedBatch(benchmark::State& state) {
       benchmark::DoNotOptimize(front.on_line(1, line, out));
       ++lines;
     }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
     out.clear();
   }
   state.SetItemsProcessed(lines);
